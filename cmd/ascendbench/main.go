@@ -247,7 +247,7 @@ type sweepPoint struct {
 func benchEngine(path string, minScaling float64, surrPath string) error {
 	chip := hw.TrainingChip()
 	models := model.All()
-	sim.ResetCounters()
+	sched0 := sim.ReadCounters()
 	// analyze reports the wall clock, the worker count it actually
 	// resolved (so the record describes the measured run, not the
 	// configuration at record-setup time), and the rendered reports of
@@ -369,7 +369,7 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	// every baseline the analyze pass already ran, so its hit count
 	// measures how much the cycle reuses simulations.
 	engine.SetCacheCapacity(engine.DefaultCacheCapacity)
-	opt.ResetDedupCounters()
+	deduped0, _ := opt.DedupCounters()
 	r := model.NewRunner(chip)
 	if _, err := r.Run(models[0]); err != nil {
 		return err
@@ -378,7 +378,8 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 		return err
 	}
 	optStats := engine.DefaultCache().Stats()
-	rec.OptimizeDeduped, _ = opt.DedupCounters()
+	deduped, _ := opt.DedupCounters()
+	rec.OptimizeDeduped = deduped - deduped0
 
 	rec.SerialNS = serial.Nanoseconds()
 	rec.ParallelNS = parallel.Nanoseconds()
@@ -396,16 +397,17 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	rec.OptimizeHits = optStats.Hits
 	rec.OptimizeHitRate = optStats.HitRate()
 	snap := engine.Stats()
-	rec.DiskCacheHits = snap.Disk.Hits
-	rec.DiskCacheWrites = snap.Disk.Writes
-	rec.SchedRuns = snap.Sched.Runs
-	rec.SchedEvents = snap.Sched.Events
-	rec.SchedStarts = snap.Sched.Starts
-	rec.SchedEligChecks = snap.Sched.EligChecks
-	rec.SchedWakes = snap.Sched.Wakes
-	rec.SchedRescanAvoided = snap.Sched.RescanChecksAvoided
-	rec.SchedPoolHits = snap.Sched.PoolHits
-	rec.SchedPoolMisses = snap.Sched.PoolMisses
+	rec.DiskCacheHits = snap.DiskHits
+	rec.DiskCacheWrites = snap.DiskWrites
+	sched := sim.ReadCounters()
+	rec.SchedRuns = sched.Runs - sched0.Runs
+	rec.SchedEvents = sched.Events - sched0.Events
+	rec.SchedStarts = sched.Starts - sched0.Starts
+	rec.SchedEligChecks = sched.EligChecks - sched0.EligChecks
+	rec.SchedWakes = sched.Wakes - sched0.Wakes
+	rec.SchedRescanAvoided = sched.RescanChecksAvoided - sched0.RescanChecksAvoided
+	rec.SchedPoolHits = sched.PoolHits - sched0.PoolHits
+	rec.SchedPoolMisses = sched.PoolMisses - sched0.PoolMisses
 
 	if surrPath != "" {
 		if err := benchSurrogate(&rec, chip, surrPath); err != nil {

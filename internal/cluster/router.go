@@ -10,7 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ascendperf/internal/engine"
 	"ascendperf/internal/serve"
+	"ascendperf/internal/stats"
 )
 
 // RouterConfig configures a cluster router.
@@ -387,59 +389,12 @@ func (rt *Router) scrapeStats(backend string) (*serve.StatsResponse, error) {
 // scrape included) work unchanged against a cluster.
 func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var agg serve.StatsResponse
-	agg.Serve.Requests = map[string]uint64{}
-	agg.Serve.Shed = map[string]uint64{}
 	for _, b := range rt.ring.Nodes() {
-		stats, err := rt.scrapeStats(b)
-		if err != nil {
-			continue
+		if st, err := rt.scrapeStats(b); err == nil {
+			stats.Add(&agg, st)
 		}
-		for ep, n := range stats.Serve.Requests {
-			agg.Serve.Requests[ep] += n
-		}
-		for reason, n := range stats.Serve.Shed {
-			agg.Serve.Shed[reason] += n
-		}
-		agg.Serve.Errors += stats.Serve.Errors
-		agg.Serve.CoalesceLeaders += stats.Serve.CoalesceLeaders
-		agg.Serve.CoalesceFollowers += stats.Serve.CoalesceFollowers
-		agg.Serve.RespCacheHits += stats.Serve.RespCacheHits
-		agg.Serve.RespCacheMisses += stats.Serve.RespCacheMisses
-		agg.Serve.RespCacheEntries += stats.Serve.RespCacheEntries
-		agg.Serve.L2Hits += stats.Serve.L2Hits
-		agg.Serve.L2Misses += stats.Serve.L2Misses
-		agg.Serve.L2Puts += stats.Serve.L2Puts
-		agg.Serve.InFlight += stats.Serve.InFlight
-		agg.Serve.Queued += stats.Serve.Queued
-		agg.Engine.CacheHits += stats.Engine.CacheHits
-		agg.Engine.CacheMisses += stats.Engine.CacheMisses
-		agg.Engine.CacheEvictions += stats.Engine.CacheEvictions
-		agg.Engine.CacheEntries += stats.Engine.CacheEntries
-		agg.Engine.DiskHits += stats.Engine.DiskHits
-		agg.Engine.DiskWrites += stats.Engine.DiskWrites
-		agg.Engine.SchedRuns += stats.Engine.SchedRuns
-		agg.Engine.SchedEvents += stats.Engine.SchedEvents
-		agg.Engine.SchedStarts += stats.Engine.SchedStarts
-		agg.Engine.SurrogatePredicted += stats.Engine.SurrogatePredicted
-		agg.Engine.SurrogateGated += stats.Engine.SurrogateGated
-		agg.Engine.SurrogateFallback += stats.Engine.SurrogateFallback
-		agg.Engine.SearchSearches += stats.Engine.SearchSearches
-		agg.Engine.SearchExactSims += stats.Engine.SearchExactSims
-		agg.Engine.SearchSurrogateScored += stats.Engine.SearchSurrogateScored
-		agg.Engine.SearchProxyScored += stats.Engine.SearchProxyScored
-		agg.Engine.SearchEvalsSaved += stats.Engine.SearchEvalsSaved
-		agg.Engine.SearchWarmHits += stats.Engine.SearchWarmHits
-		agg.Engine.SearchWarmMisses += stats.Engine.SearchWarmMisses
-		agg.Engine.SearchEpisodeWrites += stats.Engine.SearchEpisodeWrites
-		agg.Engine.GraphSchedules += stats.Engine.GraphSchedules
-		agg.Engine.GraphNodes += stats.Engine.GraphNodes
-		agg.Engine.GraphEdges += stats.Engine.GraphEdges
-		agg.Engine.GraphTransfers += stats.Engine.GraphTransfers
-		agg.Engine.GraphSerialFallbacks += stats.Engine.GraphSerialFallbacks
 	}
-	if total := agg.Engine.CacheHits + agg.Engine.CacheMisses; total > 0 {
-		agg.Engine.CacheHitRate = float64(agg.Engine.CacheHits) / float64(total)
-	}
+	agg.Engine.CacheHitRate = engine.CacheStats{Hits: agg.Engine.CacheHits, Misses: agg.Engine.CacheMisses}.HitRate()
 	body, _ := json.MarshalIndent(agg, "", "  ")
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))

@@ -80,7 +80,7 @@ func TestOptimizeDeterminism(t *testing.T) {
 	}
 
 	engine.SetCacheCapacity(engine.DefaultCacheCapacity)
-	opt.ResetDedupCounters()
+	dedup0, _ := opt.DedupCounters()
 	parallel := model.NewRunner(chip)
 	parallel.Workers = 8
 	got, err := parallel.Optimize(m)
@@ -91,8 +91,8 @@ func TestOptimizeDeterminism(t *testing.T) {
 		t.Errorf("optimize report differs between serial and parallel+cached runs\nserial:\n%s\nparallel:\n%s",
 			ref.Report(), got.Report())
 	}
-	dedupHits, _ := opt.DedupCounters()
-	if st := engine.DefaultCache().Stats(); st.Hits == 0 && dedupHits == 0 {
+	dedup1, _ := opt.DedupCounters()
+	if st := engine.DefaultCache().Stats(); st.Hits == 0 && dedup1 == dedup0 {
 		t.Errorf("optimize loop reused no simulations: cache %+v, dedup hits 0", st)
 	}
 }

@@ -25,23 +25,6 @@ type Predictor interface {
 // predictor is the process-wide surrogate hook, nil when not installed.
 var predictor atomic.Pointer[Predictor]
 
-// Surrogate decision counters (process-wide, monotone).
-var (
-	surrPredicted atomic.Uint64 // gate accepted, estimate served
-	surrGated     atomic.Uint64 // gate rejected, exact fallback + training log
-	surrFallback  atomic.Uint64 // total exact fallbacks (gated + ineligible)
-)
-
-// SurrogateStats is the decision-counter snapshot of the surrogate
-// layer.
-type SurrogateStats struct {
-	// Predicted counts estimates served; Gated counts confidence-gate
-	// rejections; Fallback counts every SimulateApprox call answered by
-	// the exact simulator while a predictor was installed (gate
-	// rejections plus ineligible requests, e.g. span-keeping runs).
-	Predicted, Gated, Fallback uint64
-}
-
 // SetPredictor installs (or with nil removes) the process-wide
 // surrogate predictor consulted by SimulateApprox. Daemons wire their
 // -surrogate flag here.
@@ -70,7 +53,7 @@ func SimulateApprox(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profil
 	pred := *pp
 	if opts.KeepSpans {
 		// Span timelines need the real scheduler; not a surrogate case.
-		surrFallback.Add(1)
+		atomic.AddUint64(&Live.SurrogateFallback, 1)
 		return Simulate(chip, prog, opts)
 	}
 
@@ -92,11 +75,11 @@ func SimulateApprox(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profil
 	}
 
 	if p, ok := pred.Predict(chip, prog, opts); ok && p != nil {
-		surrPredicted.Add(1)
+		atomic.AddUint64(&Live.SurrogatePredicted, 1)
 		return p, nil
 	}
-	surrGated.Add(1)
-	surrFallback.Add(1)
+	atomic.AddUint64(&Live.SurrogateGated, 1)
+	atomic.AddUint64(&Live.SurrogateFallback, 1)
 
 	p, err := sim.RunOpts(chip, prog, opts)
 	if err != nil {
@@ -112,19 +95,21 @@ func SimulateApprox(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profil
 	return p, nil
 }
 
-// ReadSurrogateStats snapshots the surrogate decision counters.
-func ReadSurrogateStats() SurrogateStats {
-	return SurrogateStats{
-		Predicted: surrPredicted.Load(),
-		Gated:     surrGated.Load(),
-		Fallback:  surrFallback.Load(),
+// PredictOnly asks the installed surrogate predictor for a gated
+// makespan estimate of prog on chip and reports whether the confidence
+// gate accepted. Unlike SimulateApprox it never consults the cache
+// tiers and never falls back to the exact simulator — callers that
+// only need a cheap deterministic ranking signal (the beam search's
+// generation scoring) use it so their decisions are independent of
+// cache warmth. Returns (0, false) when no predictor is installed.
+func PredictOnly(chip *hw.Chip, prog *isa.Program) (float64, bool) {
+	pp := predictor.Load()
+	if pp == nil {
+		return 0, false
 	}
-}
-
-// ResetSurrogateStats zeroes the surrogate decision counters (tests and
-// benchmark sections).
-func ResetSurrogateStats() {
-	surrPredicted.Store(0)
-	surrGated.Store(0)
-	surrFallback.Store(0)
+	p, ok := (*pp).Predict(chip, prog, sim.Options{})
+	if !ok || p == nil {
+		return 0, false
+	}
+	return p.TotalTime, true
 }

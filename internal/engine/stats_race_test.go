@@ -57,7 +57,7 @@ func TestStatsConcurrentWithSimulate(t *testing.T) {
 				default:
 				}
 				s := Stats()
-				if s.Cache.Hits+s.Cache.Misses < 0 {
+				if s.CacheHits+s.CacheMisses < 0 {
 					t.Error("impossible counter snapshot")
 					return
 				}

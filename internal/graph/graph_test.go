@@ -188,23 +188,23 @@ func TestExplicitEdges(t *testing.T) {
 	}
 }
 
-// TestGraphStatsFlushed: one delta per Run lands in engine counters.
+// TestGraphStatsFlushed: each Run adds to the engine's graph counters.
 func TestGraphStatsFlushed(t *testing.T) {
 	chip := hw.TrainingChip()
 	m := findModel(t, "VGG16")
-	before := engine.ReadGraphStats()
+	before := engine.Stats()
 	s, err := Run(chip, m, Options{Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := engine.ReadGraphStats()
-	if after.Schedules != before.Schedules+1 {
-		t.Errorf("schedules %d -> %d, want +1", before.Schedules, after.Schedules)
+	after := engine.Stats()
+	if after.GraphSchedules != before.GraphSchedules+1 {
+		t.Errorf("schedules %d -> %d, want +1", before.GraphSchedules, after.GraphSchedules)
 	}
-	if after.Nodes != before.Nodes+uint64(len(s.Graph.Nodes)) {
+	if after.GraphNodes != before.GraphNodes+uint64(len(s.Graph.Nodes)) {
 		t.Errorf("nodes delta wrong")
 	}
-	if after.CrossCoreTransfers != before.CrossCoreTransfers+uint64(s.CrossCoreEdges) {
+	if after.GraphTransfers != before.GraphTransfers+uint64(s.CrossCoreEdges) {
 		t.Errorf("cross-core transfer delta wrong")
 	}
 }

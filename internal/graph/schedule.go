@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
@@ -164,8 +165,8 @@ func (h *readyHeap) Less(i, j int) bool {
 	}
 	return a < b
 }
-func (h *readyHeap) Swap(i, j int)      { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
-func (h *readyHeap) Push(x any)         { h.nodes = append(h.nodes, x.(int)) }
+func (h *readyHeap) Swap(i, j int) { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
+func (h *readyHeap) Push(x any)    { h.nodes = append(h.nodes, x.(int)) }
 func (h *readyHeap) Pop() any {
 	n := len(h.nodes)
 	v := h.nodes[n-1]
@@ -178,8 +179,8 @@ func (h *readyHeap) Pop() any {
 // assignment, per-edge inter-core GM transfer costs, and
 // contention-degraded durations. All time arithmetic runs on the
 // simulator's integer tick lattice, so results are exact and
-// reproducible bit for bit. One engine.GraphStats delta is flushed per
-// call.
+// reproducible bit for bit. Each call adds to the graph_* counters of
+// engine.Live.
 func Run(chip *hw.Chip, m *model.Model, opts Options) (*Schedule, error) {
 	g, err := Derive(chip, m)
 	if err != nil {
@@ -189,16 +190,14 @@ func Run(chip *hw.Chip, m *model.Model, opts Options) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := engine.GraphStats{
-		Schedules:          1,
-		Nodes:              uint64(len(g.Nodes)),
-		Edges:              uint64(len(g.Edges)),
-		CrossCoreTransfers: uint64(s.CrossCoreEdges),
-	}
+	live := &engine.Live
+	atomic.AddUint64(&live.GraphSchedules, 1)
+	atomic.AddUint64(&live.GraphNodes, uint64(len(g.Nodes)))
+	atomic.AddUint64(&live.GraphEdges, uint64(len(g.Edges)))
+	atomic.AddUint64(&live.GraphTransfers, uint64(s.CrossCoreEdges))
 	if s.SerialFallback {
-		d.SerialFallbacks = 1
+		atomic.AddUint64(&live.GraphSerialFallbacks, 1)
 	}
-	engine.AddGraphStats(d)
 	return s, nil
 }
 

@@ -185,12 +185,6 @@ func DedupCounters() (hits, misses uint64) {
 	return dedupHits.Load(), dedupMisses.Load()
 }
 
-// ResetDedupCounters zeroes the dedup counters (tests, benchmarks).
-func ResetDedupCounters() {
-	dedupHits.Store(0)
-	dedupMisses.Store(0)
-}
-
 // buildKey identifies one build: the kernel value and the option set.
 type buildKey struct {
 	kernel kernels.Kernel

@@ -253,12 +253,13 @@ func TestBuildMemoBuildsEachOptionSetOnce(t *testing.T) {
 // mechanism (a nonzero hit count and an exact per-kernel value) rather
 // than the corpus-wide rate.
 func TestOptimizeDedupsStructuralDuplicates(t *testing.T) {
-	ResetDedupCounters()
+	h0, m0 := DedupCounters()
 	o := New(hw.TrainingChip())
 	if _, err := o.Optimize(kernels.NewAvgPool()); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := DedupCounters()
+	h1, m1 := DedupCounters()
+	hits, misses := h1-h0, m1-m0
 	if hits == 0 {
 		t.Fatalf("optimize loop found no structural duplicates (misses=%d)", misses)
 	}
@@ -269,12 +270,12 @@ func TestOptimizeDedupsStructuralDuplicates(t *testing.T) {
 		hits, misses, 100*float64(hits)/float64(hits+misses))
 
 	// Determinism: the same optimization replays the same counts.
-	ResetDedupCounters()
 	o2 := New(hw.TrainingChip())
 	if _, err := o2.Optimize(kernels.NewAvgPool()); err != nil {
 		t.Fatal(err)
 	}
 	h2, m2 := DedupCounters()
+	h2, m2 = h2-h1, m2-m1
 	if h2 != hits || m2 != misses {
 		t.Errorf("dedup counts not deterministic: %d/%d then %d/%d", hits, misses, h2, m2)
 	}

@@ -13,6 +13,7 @@ package opt
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"ascendperf/internal/critpath"
 	"ascendperf/internal/engine"
@@ -345,16 +346,13 @@ func (s *searcher) episodeKey(cfg SearchConfig) (string, bool) {
 // scoring, tie-breaks and budget accounting are canonical functions of
 // (chip, kernel, config), independent of worker count and cache
 // warmth, so two runs produce byte-identical results. Completed
-// searches flush their counters to engine.Stats().Search and persist
+// searches add to the search_* counters of engine.Live and persist
 // their winner to the episode store (when one is configured) so a
 // repeat run warm-starts.
 func (o *Optimizer) Search(k kernels.Kernel, cfg SearchConfig) (*SearchResult, error) {
 	s := newSearcher(o, k)
-	var delta engine.SearchStats
-	defer func() {
-		delta.Searches = 1
-		engine.AddSearchStats(delta)
-	}()
+	live := &engine.Live
+	defer atomic.AddUint64(&live.SearchSearches, 1)
 
 	store := cfg.store()
 	var epKey string
@@ -363,15 +361,13 @@ func (o *Optimizer) Search(k kernels.Kernel, cfg SearchConfig) (*SearchResult, e
 		if epKey, ok = s.episodeKey(cfg); ok {
 			if ep := store.Load(epKey); ep != nil {
 				if res, ok := s.warmStart(ep); ok {
-					delta.WarmHits = 1
-					delta.ExactSims = uint64(res.ExactSims)
-					delta.EvalsSaved = uint64(res.EvalsSaved)
+					atomic.AddUint64(&live.SearchWarmHits, 1)
+					atomic.AddUint64(&live.SearchExactSims, uint64(res.ExactSims))
+					atomic.AddUint64(&live.SearchEvalsSaved, uint64(res.EvalsSaved))
 					return res, nil
 				}
-				delta.WarmMisses = 1
-			} else {
-				delta.WarmMisses = 1
 			}
+			atomic.AddUint64(&live.SearchWarmMisses, 1)
 		}
 	}
 
@@ -379,10 +375,10 @@ func (o *Optimizer) Search(k kernels.Kernel, cfg SearchConfig) (*SearchResult, e
 	if err != nil {
 		return nil, err
 	}
-	delta.ExactSims = uint64(res.ExactSims)
-	delta.SurrogateScored = uint64(res.SurrogateScored)
-	delta.ProxyScored = uint64(res.ProxyScored)
-	delta.EvalsSaved = uint64(res.EvalsSaved)
+	atomic.AddUint64(&live.SearchExactSims, uint64(res.ExactSims))
+	atomic.AddUint64(&live.SearchSurrogateScored, uint64(res.SurrogateScored))
+	atomic.AddUint64(&live.SearchProxyScored, uint64(res.ProxyScored))
+	atomic.AddUint64(&live.SearchEvalsSaved, uint64(res.EvalsSaved))
 	if store != nil && epKey != "" && !res.BudgetExhausted {
 		store.Store(epKey, &Episode{
 			Kernel:      res.Kernel,
@@ -395,7 +391,7 @@ func (o *Optimizer) Search(k kernels.Kernel, cfg SearchConfig) (*SearchResult, e
 			ExactSims:   res.ExactSims,
 			Generations: res.Generations,
 		})
-		delta.EpisodeWrites = 1
+		atomic.AddUint64(&live.SearchEpisodeWrites, 1)
 	}
 	return res, nil
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"ascendperf/internal/engine"
 	"ascendperf/internal/opt"
 )
 
@@ -247,70 +248,31 @@ type GraphRequest struct {
 }
 
 // ServeStats is the serving-layer counter snapshot inside
-// StatsResponse.
+// StatsResponse. Each field is the one declaration of its counter (see
+// internal/stats). The maps are served on /metrics as the labelled
+// families ascendd_requests_total{endpoint,code} and
+// ascendd_shed_total{reason}; followers per endpoint as
+// ascendd_coalesced_total{endpoint}.
 type ServeStats struct {
-	// Requests counts completed requests per endpoint; Errors those
-	// with status >= 400.
-	Requests map[string]uint64 `json:"requests"`
-	Errors   uint64            `json:"errors"`
-	// CoalesceLeaders counts executions started; CoalesceFollowers
-	// requests served by attaching to one.
-	CoalesceLeaders   uint64 `json:"coalesce_leaders"`
-	CoalesceFollowers uint64 `json:"coalesce_followers"`
-	// RespCacheHits counts requests answered from the encoded-response
-	// LRU without executing (or joining) an analysis.
-	RespCacheHits    uint64 `json:"resp_cache_hits"`
-	RespCacheMisses  uint64 `json:"resp_cache_misses"`
-	RespCacheEntries int    `json:"resp_cache_entries"`
-	// L2Hits counts flights answered from the shared second-level cache
-	// tier; L2Misses flights that consulted it without an answer;
-	// L2Puts successful fills. All zero when no L2 is configured.
-	L2Hits   uint64 `json:"l2_hits"`
-	L2Misses uint64 `json:"l2_misses"`
-	L2Puts   uint64 `json:"l2_puts"`
-	// Shed counts load-shedded requests by reason.
-	Shed map[string]uint64 `json:"shed,omitempty"`
-	// InFlight and Queued are scrape-time gauges.
-	InFlight int   `json:"in_flight"`
-	Queued   int64 `json:"queued"`
+	Requests          map[string]uint64 `json:"requests" kind:"counter" help:"Completed requests per endpoint."`
+	Errors            uint64            `json:"errors" metric:"ascendd_errors_total" kind:"counter" help:"Requests answered with status >= 400."`
+	CoalesceLeaders   uint64            `json:"coalesce_leaders" metric:"ascendd_coalesce_leaders_total" kind:"counter" help:"Analysis executions started (flight leaders)."`
+	CoalesceFollowers uint64            `json:"coalesce_followers" kind:"counter" help:"Requests answered by attaching to an identical in-flight request."`
+	RespCacheHits     uint64            `json:"resp_cache_hits" metric:"ascendd_response_cache_hits_total" kind:"counter" help:"Requests answered from the encoded-response LRU."`
+	RespCacheMisses   uint64            `json:"resp_cache_misses" metric:"ascendd_response_cache_misses_total" kind:"counter" help:"Requests that had to execute (or join) an analysis."`
+	RespCacheEntries  int               `json:"resp_cache_entries" metric:"ascendd_response_cache_entries" kind:"gauge" help:"Encoded responses currently cached."`
+	L2Hits            uint64            `json:"l2_hits" metric:"ascendd_l2_cache_hits_total" kind:"counter" help:"Flights answered from the shared L2 cache tier."`
+	L2Misses          uint64            `json:"l2_misses" metric:"ascendd_l2_cache_misses_total" kind:"counter" help:"Flights that consulted the L2 tier without an answer."`
+	L2Puts            uint64            `json:"l2_puts" metric:"ascendd_l2_cache_puts_total" kind:"counter" help:"Successful fills of the L2 tier."`
+	Shed              map[string]uint64 `json:"shed,omitempty" kind:"counter" help:"Requests rejected by admission control, by reason."`
+	InFlight          int               `json:"in_flight" metric:"ascendd_inflight_requests" kind:"gauge" help:"Analysis executions currently holding an admission slot."`
+	Queued            int64             `json:"queued" metric:"ascendd_queued_requests" kind:"gauge" help:"Flight leaders waiting for an admission slot."`
+	Draining          int               `json:"draining" metric:"ascendd_draining" kind:"gauge" help:"Whether the server is draining (1) or serving (0)."`
 }
 
-// EngineStats mirrors engine.ProcessStats with stable JSON names.
-type EngineStats struct {
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
-	CacheEvictions uint64  `json:"cache_evictions"`
-	CacheEntries   int     `json:"cache_entries"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	DiskHits       uint64  `json:"disk_hits"`
-	DiskWrites     uint64  `json:"disk_writes"`
-	SchedRuns      uint64  `json:"sched_runs"`
-	SchedEvents    uint64  `json:"sched_events"`
-	SchedStarts    uint64  `json:"sched_starts"`
-
-	// Learned-surrogate counters (zero unless ascendd -surrogate).
-	SurrogatePredicted uint64 `json:"surrogate_predicted"`
-	SurrogateGated     uint64 `json:"surrogate_gated"`
-	SurrogateFallback  uint64 `json:"surrogate_fallback"`
-
-	// Beam-search counters (zero until a search-mode optimize runs).
-	SearchSearches        uint64 `json:"search_searches"`
-	SearchExactSims       uint64 `json:"search_exact_sims"`
-	SearchSurrogateScored uint64 `json:"search_surrogate_scored"`
-	SearchProxyScored     uint64 `json:"search_proxy_scored"`
-	SearchEvalsSaved      uint64 `json:"search_evals_saved"`
-	SearchWarmHits        uint64 `json:"search_warm_hits"`
-	SearchWarmMisses      uint64 `json:"search_warm_misses"`
-	SearchEpisodeWrites   uint64 `json:"search_episode_writes"`
-
-	// Whole-graph scheduling counters (zero until a /v1/graph or
-	// ascendgraph run).
-	GraphSchedules       uint64 `json:"graph_schedules"`
-	GraphNodes           uint64 `json:"graph_nodes"`
-	GraphEdges           uint64 `json:"graph_edges"`
-	GraphTransfers       uint64 `json:"graph_transfers"`
-	GraphSerialFallbacks uint64 `json:"graph_serial_fallbacks"`
-}
+// EngineStats is the engine block of /v1/stats, declared by
+// engine.Snapshot.
+type EngineStats = engine.Snapshot
 
 // StatsResponse is the /v1/stats payload: the serving counters plus the
 // engine.Stats() snapshot.

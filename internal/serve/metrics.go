@@ -6,7 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"ascendperf/internal/engine"
+	"ascendperf/internal/stats"
 )
 
 // durationBuckets are the histogram upper bounds in seconds. The low
@@ -17,10 +17,10 @@ var durationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// metricsRegistry accumulates the daemon's serving counters and renders
-// them in Prometheus text exposition format. It is deliberately tiny —
-// counters, one histogram family, and scrape-time gauges lifted from
-// engine.Stats() — so the repository stays dependency-free.
+// metricsRegistry accumulates the daemon's labelled serving counters and
+// renders the Prometheus text exposition page. It is deliberately tiny —
+// labelled counters, one histogram family, and the declared unlabelled
+// series of a StatsResponse — so the repository stays dependency-free.
 type metricsRegistry struct {
 	mu sync.Mutex
 
@@ -86,20 +86,33 @@ func (m *metricsRegistry) observeShed(reason string) {
 	m.shed[reason]++
 }
 
+// totals returns the per-endpoint request totals and the shed counts by
+// reason, the /v1/stats views of the labelled families.
+func (m *metricsRegistry) totals() (requests, shed map[string]uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	requests = make(map[string]uint64, len(m.requests))
+	for ep, byCode := range m.requests {
+		for _, n := range byCode {
+			requests[ep] += n
+		}
+	}
+	shed = make(map[string]uint64, len(m.shed))
+	for reason, n := range m.shed {
+		shed[reason] = n
+	}
+	return requests, shed
+}
+
 // writeCounter emits one labelled counter sample.
 func writeCounter(b *strings.Builder, name, labels string, v uint64) {
-	if labels == "" {
-		fmt.Fprintf(b, "%s %d\n", name, v)
-		return
-	}
 	fmt.Fprintf(b, "%s{%s} %d\n", name, labels, v)
 }
 
-// Render emits the full exposition page. The arguments supply
-// scrape-time process state (in-flight slots, queue length, drain flag,
-// response-cache counters); engine cache and scheduler counters are
-// read directly from engine.Stats().
-func (m *metricsRegistry) Render(inflight, queued int64, draining bool, resp *respCache, l2Hits, l2Misses, l2Puts uint64) string {
+// Render emits the full exposition page: the labelled families from the
+// registry, then one unlabelled series per field of snap that declares
+// a metric name.
+func (m *metricsRegistry) Render(snap StatsResponse) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var b strings.Builder
@@ -144,118 +157,10 @@ func (m *metricsRegistry) Render(inflight, queued int64, draining bool, resp *re
 		fmt.Fprintf(&b, "ascendd_request_duration_seconds_count{endpoint=%q} %d\n", ep, h.count)
 	}
 
-	b.WriteString("# HELP ascendd_inflight_requests Analysis executions currently holding an admission slot.\n")
-	b.WriteString("# TYPE ascendd_inflight_requests gauge\n")
-	fmt.Fprintf(&b, "ascendd_inflight_requests %d\n", inflight)
-	b.WriteString("# HELP ascendd_queued_requests Flight leaders waiting for an admission slot.\n")
-	b.WriteString("# TYPE ascendd_queued_requests gauge\n")
-	fmt.Fprintf(&b, "ascendd_queued_requests %d\n", queued)
-	b.WriteString("# HELP ascendd_draining Whether the server is draining (1) or serving (0).\n")
-	b.WriteString("# TYPE ascendd_draining gauge\n")
-	d := 0
-	if draining {
-		d = 1
-	}
-	fmt.Fprintf(&b, "ascendd_draining %d\n", d)
-
-	respHits, respMisses, respEntries := resp.Stats()
-	b.WriteString("# HELP ascendd_response_cache_hits_total Requests answered from the encoded-response LRU.\n")
-	b.WriteString("# TYPE ascendd_response_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "ascendd_response_cache_hits_total %d\n", respHits)
-	b.WriteString("# HELP ascendd_response_cache_misses_total Requests that had to execute (or join) an analysis.\n")
-	b.WriteString("# TYPE ascendd_response_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "ascendd_response_cache_misses_total %d\n", respMisses)
-	b.WriteString("# HELP ascendd_response_cache_entries Encoded responses currently cached.\n")
-	b.WriteString("# TYPE ascendd_response_cache_entries gauge\n")
-	fmt.Fprintf(&b, "ascendd_response_cache_entries %d\n", respEntries)
-
-	b.WriteString("# HELP ascendd_l2_cache_hits_total Flights answered from the shared L2 cache tier.\n")
-	b.WriteString("# TYPE ascendd_l2_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "ascendd_l2_cache_hits_total %d\n", l2Hits)
-	b.WriteString("# HELP ascendd_l2_cache_misses_total Flights that consulted the L2 tier without an answer.\n")
-	b.WriteString("# TYPE ascendd_l2_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "ascendd_l2_cache_misses_total %d\n", l2Misses)
-	b.WriteString("# HELP ascendd_l2_cache_puts_total Successful fills of the L2 tier.\n")
-	b.WriteString("# TYPE ascendd_l2_cache_puts_total counter\n")
-	fmt.Fprintf(&b, "ascendd_l2_cache_puts_total %d\n", l2Puts)
-
-	// Execution-layer counters: the same snapshot ascendbench -json
-	// records, exposed live so cache effectiveness and scheduler
-	// behaviour are observable while serving.
-	snap := engine.Stats()
-	b.WriteString("# HELP ascendd_engine_cache_hits_total Memory simulation cache hits.\n")
-	b.WriteString("# TYPE ascendd_engine_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "ascendd_engine_cache_hits_total %d\n", snap.Cache.Hits)
-	b.WriteString("# HELP ascendd_engine_cache_misses_total Memory simulation cache misses.\n")
-	b.WriteString("# TYPE ascendd_engine_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "ascendd_engine_cache_misses_total %d\n", snap.Cache.Misses)
-	b.WriteString("# HELP ascendd_engine_cache_evictions_total Memory simulation cache evictions.\n")
-	b.WriteString("# TYPE ascendd_engine_cache_evictions_total counter\n")
-	fmt.Fprintf(&b, "ascendd_engine_cache_evictions_total %d\n", snap.Cache.Evictions)
-	b.WriteString("# HELP ascendd_engine_cache_entries Memory simulation cache resident entries.\n")
-	b.WriteString("# TYPE ascendd_engine_cache_entries gauge\n")
-	fmt.Fprintf(&b, "ascendd_engine_cache_entries %d\n", snap.Cache.Entries)
-	b.WriteString("# HELP ascendd_engine_disk_cache_hits_total Disk simulation cache hits.\n")
-	b.WriteString("# TYPE ascendd_engine_disk_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "ascendd_engine_disk_cache_hits_total %d\n", snap.Disk.Hits)
-	b.WriteString("# HELP ascendd_engine_disk_cache_writes_total Disk simulation cache entries persisted.\n")
-	b.WriteString("# TYPE ascendd_engine_disk_cache_writes_total counter\n")
-	fmt.Fprintf(&b, "ascendd_engine_disk_cache_writes_total %d\n", snap.Disk.Writes)
-	b.WriteString("# HELP ascendd_surrogate_predicted_total Cache misses answered by the learned surrogate.\n")
-	b.WriteString("# TYPE ascendd_surrogate_predicted_total counter\n")
-	fmt.Fprintf(&b, "ascendd_surrogate_predicted_total %d\n", snap.Surrogate.Predicted)
-	b.WriteString("# HELP ascendd_surrogate_gated_total Surrogate predictions rejected by the confidence gate.\n")
-	b.WriteString("# TYPE ascendd_surrogate_gated_total counter\n")
-	fmt.Fprintf(&b, "ascendd_surrogate_gated_total %d\n", snap.Surrogate.Gated)
-	b.WriteString("# HELP ascendd_surrogate_fallback_total Requests served by the exact simulator with a predictor configured.\n")
-	b.WriteString("# TYPE ascendd_surrogate_fallback_total counter\n")
-	fmt.Fprintf(&b, "ascendd_surrogate_fallback_total %d\n", snap.Surrogate.Fallback)
-
-	search := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"ascendd_search_searches_total", "Beam searches completed (optimize with search).", snap.Search.Searches},
-		{"ascendd_search_exact_sims_total", "Exact simulations issued by searches.", snap.Search.ExactSims},
-		{"ascendd_search_surrogate_scored_total", "Beam candidates scored by the learned surrogate.", snap.Search.SurrogateScored},
-		{"ascendd_search_proxy_scored_total", "Beam candidates scored by the static critical-path proxy.", snap.Search.ProxyScored},
-		{"ascendd_search_evals_saved_total", "Scored candidates never confirmed exactly.", snap.Search.EvalsSaved},
-		{"ascendd_search_warm_hits_total", "Searches answered from the episodic memory.", snap.Search.WarmHits},
-		{"ascendd_search_warm_misses_total", "Searches that found no usable episode.", snap.Search.WarmMisses},
-		{"ascendd_search_episode_writes_total", "Episodes persisted after cold searches.", snap.Search.EpisodeWrites},
-	}
-	for _, s := range search {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", s.name, s.help, s.name, s.name, s.v)
-	}
-
-	graphs := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"ascendd_graph_schedules_total", "Whole-graph schedules computed.", snap.Graph.Schedules},
-		{"ascendd_graph_nodes_total", "Graph nodes scheduled.", snap.Graph.Nodes},
-		{"ascendd_graph_edges_total", "Graph dependency edges scheduled.", snap.Graph.Edges},
-		{"ascendd_graph_transfers_total", "Cross-core edges that paid a GM transfer.", snap.Graph.CrossCoreTransfers},
-		{"ascendd_graph_serial_fallbacks_total", "Schedules that fell back to serial order.", snap.Graph.SerialFallbacks},
-	}
-	for _, s := range graphs {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", s.name, s.help, s.name, s.name, s.v)
-	}
-
-	sched := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"ascendd_sched_runs_total", "Completed simulations.", snap.Sched.Runs},
-		{"ascendd_sched_events_total", "Scheduler event-loop rounds.", snap.Sched.Events},
-		{"ascendd_sched_starts_total", "Instruction starts.", snap.Sched.Starts},
-		{"ascendd_sched_elig_checks_total", "Queue-head eligibility checks.", snap.Sched.EligChecks},
-		{"ascendd_sched_wakes_total", "Wake-list re-queues.", snap.Sched.Wakes},
-		{"ascendd_sched_pool_hits_total", "Pooled scheduler-state reuses.", snap.Sched.PoolHits},
-		{"ascendd_sched_pool_misses_total", "Fresh scheduler-state allocations.", snap.Sched.PoolMisses},
-	}
-	for _, s := range sched {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", s.name, s.help, s.name, s.name, s.v)
+	for _, f := range stats.Fields(&snap) {
+		if f.Metric != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", f.Metric, f.Help, f.Metric, f.Kind, f.Metric, f.Value)
+		}
 	}
 	return b.String()
 }

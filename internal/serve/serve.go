@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ascendperf/internal/engine"
+	"ascendperf/internal/stats"
 )
 
 // Config bounds the daemon's serving behaviour.
@@ -92,11 +93,9 @@ type Server struct {
 	resp     *respCache
 	draining atomic.Bool
 	inflight *inflightGauge
-	errors   atomic.Uint64
-
-	l2Hits   atomic.Uint64
-	l2Misses atomic.Uint64
-	l2Puts   atomic.Uint64
+	// live holds the errors and l2_* counters; write it only with
+	// atomic.AddUint64.
+	live ServeStats
 }
 
 // New builds a server with the given config.
@@ -347,10 +346,10 @@ func (s *Server) analysis(endpoint string, parse func(body []byte) (*parsedReque
 			// consistent-hashing router pins the key to this shard.
 			if s.cfg.L2 != nil {
 				if body, ok := s.cfg.L2.Get(fullKey); ok {
-					s.l2Hits.Add(1)
+					atomic.AddUint64(&s.live.L2Hits, 1)
 					return flightResult{body: body, l2: true}, nil
 				}
-				s.l2Misses.Add(1)
+				atomic.AddUint64(&s.live.L2Misses, 1)
 			}
 			if err := s.adm.acquire(ctx.Done()); err != nil {
 				return nil, err
@@ -365,7 +364,7 @@ func (s *Server) analysis(endpoint string, parse func(body []byte) (*parsedReque
 			// exact request can never be answered with an approximation.
 			if s.cfg.L2 != nil && !approx {
 				s.cfg.L2.Put(fullKey, body)
-				s.l2Puts.Add(1)
+				atomic.AddUint64(&s.live.L2Puts, 1)
 			}
 			return flightResult{body: body, approx: approx}, nil
 		})
@@ -419,7 +418,7 @@ func (s *Server) writeError(w http.ResponseWriter, endpoint string, start time.T
 			status, code = ae.status, ae.code
 		}
 	}
-	s.errors.Add(1)
+	atomic.AddUint64(&s.live.Errors, 1)
 	body, _ := json.Marshal(errorEnvelope{Error: errorDetail{Code: code, Message: err.Error()}})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -448,76 +447,20 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders the Prometheus exposition page.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, s.metrics.Render(int64(s.adm.InFlight()), s.adm.Waiting(), s.draining.Load(), s.resp,
-		s.l2Hits.Load(), s.l2Misses.Load(), s.l2Puts.Load()))
+	io.WriteString(w, s.metrics.Render(s.StatsSnapshot()))
 }
 
 // StatsSnapshot returns the machine-readable counterpart of /metrics.
 func (s *Server) StatsSnapshot() StatsResponse {
-	leaders, followers := s.flights.Stats()
-	s.metrics.mu.Lock()
-	reqs := make(map[string]uint64, len(s.metrics.requests))
-	for ep, byCode := range s.metrics.requests {
-		for _, n := range byCode {
-			reqs[ep] += n
-		}
+	st := stats.Load(&s.live)
+	st.Requests, st.Shed = s.metrics.totals()
+	st.CoalesceLeaders, st.CoalesceFollowers = s.flights.Stats()
+	st.RespCacheHits, st.RespCacheMisses, st.RespCacheEntries = s.resp.Stats()
+	st.InFlight, st.Queued = s.adm.InFlight(), s.adm.Waiting()
+	if s.draining.Load() {
+		st.Draining = 1
 	}
-	shed := make(map[string]uint64, len(s.metrics.shed))
-	for reason, n := range s.metrics.shed {
-		shed[reason] = n
-	}
-	s.metrics.mu.Unlock()
-
-	respHits, respMisses, respEntries := s.resp.Stats()
-	snap := engine.Stats()
-	return StatsResponse{
-		Serve: ServeStats{
-			Requests:          reqs,
-			Errors:            s.errors.Load(),
-			CoalesceLeaders:   leaders,
-			CoalesceFollowers: followers,
-			RespCacheHits:     respHits,
-			RespCacheMisses:   respMisses,
-			RespCacheEntries:  respEntries,
-			L2Hits:            s.l2Hits.Load(),
-			L2Misses:          s.l2Misses.Load(),
-			L2Puts:            s.l2Puts.Load(),
-			Shed:              shed,
-			InFlight:          s.adm.InFlight(),
-			Queued:            s.adm.Waiting(),
-		},
-		Engine: EngineStats{
-			CacheHits:      snap.Cache.Hits,
-			CacheMisses:    snap.Cache.Misses,
-			CacheEvictions: snap.Cache.Evictions,
-			CacheEntries:   snap.Cache.Entries,
-			CacheHitRate:   snap.Cache.HitRate(),
-			DiskHits:       snap.Disk.Hits,
-			DiskWrites:     snap.Disk.Writes,
-			SchedRuns:      snap.Sched.Runs,
-			SchedEvents:    snap.Sched.Events,
-			SchedStarts:    snap.Sched.Starts,
-
-			SurrogatePredicted: snap.Surrogate.Predicted,
-			SurrogateGated:     snap.Surrogate.Gated,
-			SurrogateFallback:  snap.Surrogate.Fallback,
-
-			SearchSearches:        snap.Search.Searches,
-			SearchExactSims:       snap.Search.ExactSims,
-			SearchSurrogateScored: snap.Search.SurrogateScored,
-			SearchProxyScored:     snap.Search.ProxyScored,
-			SearchEvalsSaved:      snap.Search.EvalsSaved,
-			SearchWarmHits:        snap.Search.WarmHits,
-			SearchWarmMisses:      snap.Search.WarmMisses,
-			SearchEpisodeWrites:   snap.Search.EpisodeWrites,
-
-			GraphSchedules:       snap.Graph.Schedules,
-			GraphNodes:           snap.Graph.Nodes,
-			GraphEdges:           snap.Graph.Edges,
-			GraphTransfers:       snap.Graph.CrossCoreTransfers,
-			GraphSerialFallbacks: snap.Graph.SerialFallbacks,
-		},
-	}
+	return StatsResponse{Serve: st, Engine: engine.Stats()}
 }
 
 // handleStats serves StatsSnapshot as JSON.

@@ -118,21 +118,6 @@ func ReadCounters() Counters {
 	return t
 }
 
-// ResetCounters zeroes the scheduler counters (benchmarks and tests).
-func ResetCounters() {
-	for i := range counterCells {
-		c := &counterCells[i]
-		c.runs.Store(0)
-		c.events.Store(0)
-		c.starts.Store(0)
-		c.eligChecks.Store(0)
-		c.wakes.Store(0)
-		c.rescanAvoided.Store(0)
-		c.poolHits.Store(0)
-		c.poolMisses.Store(0)
-	}
-}
-
 // flush accumulates one run's local counters into the state's stripe.
 func (s *schedState) flushCounters() {
 	c := &counterCells[s.stripe]

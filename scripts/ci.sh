@@ -62,6 +62,14 @@ echo "== cluster regression gates (L2 eviction, failover body replay) =="
 # replay the complete buffered body on the retry attempt.
 go test -run 'TestCacheServerEviction|TestProxyFailoverReplaysBody' ./internal/cluster
 
+echo "== stats wire-compat gate (golden names, router sum, FORMATS.md table) =="
+# Named explicitly, like the cluster gates above: every /metrics and
+# /v1/stats name clients scrape must still be served, the router's
+# cluster /v1/stats must sum every declared counter, and the FORMATS.md
+# §8.4 table must match the counter declaration both ways.
+go test -count=1 -run 'TestStatsWireGolden|TestStatsTableMatchesDeclaration' ./internal/serve
+go test -count=1 -run 'TestRouterStatsSum' ./internal/cluster
+
 echo "== fuzz (short budget) =="
 # A few seconds of coverage-guided fuzzing per target; long enough to
 # shake out parser/scheduler disagreements on mutated corpus programs,
