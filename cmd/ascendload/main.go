@@ -17,7 +17,7 @@
 //	ascendload -base http://127.0.0.1:8372
 //	ascendload -base http://... -endpoint roofline -qps 500 -duration 5s
 //	ascendload -base http://... -json BENCH_serve.json \
-//	    -maxerrors 0 -minhitrate 0.5 -minspeedup 10   # CI assertions
+//	    -maxerrors 0 -minhitrate 0.5 -maxwarmp50 1ms   # CI assertions
 //	ascendload -cluster 1,2,4 -kill -json BENCH_cluster.json
 //	ascendload -cluster 1,2 -kill -maxerrors 0 -minfailover 1 -minl2 0.5
 //	ascendload -cluster attach -backends http://h1:8372,http://h2:8372
@@ -54,6 +54,7 @@ func main() {
 		maxErrors   = flag.Int("maxerrors", -1, "fail when client-observed errors exceed this (-1 disables)")
 		minHitRate  = flag.Float64("minhitrate", -1, "fail when the server's response cache hit rate is below this fraction (-1 disables)")
 		minSpeedup  = flag.Float64("minspeedup", -1, "fail when warm p50 is not at least this many times faster than cold p50 (-1 disables)")
+		maxWarmP50  = flag.Duration("maxwarmp50", 0, "fail when warm p50 exceeds this latency (0 disables)")
 		clusterArg  = flag.String("cluster", "", `cluster sweep mode: comma-separated backend counts (e.g. "1,2,4") or "attach" with -backends`)
 		backends    = flag.String("backends", "", "with -cluster attach: comma-separated ascendd base URLs to drive")
 		zipfS       = flag.Float64("zipf", 1.1, "cluster mode: Zipf popularity skew exponent (0 = uniform)")
@@ -96,7 +97,7 @@ func main() {
 		writeJSON(*jsonPath, rep)
 	}
 
-	if fails := gates(rep, *maxErrors, *minHitRate, *minSpeedup); len(fails) > 0 {
+	if fails := gates(rep, *maxErrors, *minHitRate, *minSpeedup, *maxWarmP50); len(fails) > 0 {
 		for _, f := range fails {
 			fmt.Fprintln(os.Stderr, "ascendload: FAIL:", f)
 		}
@@ -153,8 +154,9 @@ func runCluster(counts, backends, chip string, duration time.Duration, concurren
 }
 
 // gates evaluates the CI assertion flags against a measured report and
-// returns the violated bounds (a negative bound disables its check).
-func gates(rep *serve.LoadReport, maxErrors int, minHitRate, minSpeedup float64) []string {
+// returns the violated bounds (a negative bound, or a zero maxWarmP50,
+// disables its check).
+func gates(rep *serve.LoadReport, maxErrors int, minHitRate, minSpeedup float64, maxWarmP50 time.Duration) []string {
 	var fails []string
 	if maxErrors >= 0 && rep.Errors > maxErrors {
 		fails = append(fails, fmt.Sprintf("%d errors > limit %d", rep.Errors, maxErrors))
@@ -164,6 +166,9 @@ func gates(rep *serve.LoadReport, maxErrors int, minHitRate, minSpeedup float64)
 	}
 	if minSpeedup >= 0 && rep.WarmSpeedupP50 < minSpeedup {
 		fails = append(fails, fmt.Sprintf("warm speedup %.1fx < floor %.1fx", rep.WarmSpeedupP50, minSpeedup))
+	}
+	if maxWarmP50 > 0 && time.Duration(rep.WarmP50NS) > maxWarmP50 {
+		fails = append(fails, fmt.Sprintf("warm p50 %v > limit %v", time.Duration(rep.WarmP50NS), maxWarmP50))
 	}
 	return fails
 }
