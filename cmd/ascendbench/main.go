@@ -252,16 +252,18 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	// resolved (so the record describes the measured run, not the
 	// configuration at record-setup time), and the rendered reports of
 	// every workload, which the sweep compares byte-for-byte across
-	// worker counts.
+	// worker counts. Every pass shares one runner, and with it the
+	// runner's build memo, so the passes time analysis, not program
+	// construction.
+	runner := model.NewRunner(chip)
 	analyze := func(workers int) (time.Duration, int, string, error) {
-		r := model.NewRunner(chip)
-		r.Workers = workers
+		runner.Workers = workers
 		resolved := workers
 		if resolved <= 0 {
 			resolved = engine.Workers()
 		}
 		start := time.Now()
-		results, err := r.RunAll(models)
+		results, err := runner.RunAll(models)
 		elapsed := time.Since(start)
 		if err != nil {
 			return 0, 0, "", err
@@ -288,7 +290,7 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	prevDisk := engine.SwapDiskCache(nil)
 	engine.SetCacheCapacity(0)
 	sweepErr := func() error {
-		// One untimed warm-up pass: program builds, validation memos and
+		// One untimed warm-up pass: program builds, fingerprint memos and
 		// scheduler-state pools warm here, so every timed pass measures
 		// the same steady state instead of the first pass absorbing the
 		// one-time costs.

@@ -13,7 +13,7 @@
 //
 // Two DAG forms exist:
 //
-//   - Derived (Derive on a plain inventory): each operator's Count
+//   - Derived (from a plain inventory): each operator's Count
 //     instances are spread over the workload's layer structure — L =
 //     the largest count, one layer per repetition — and consecutive
 //     layers are bridged with dependency edges, the DNN layer-barrier
@@ -123,11 +123,11 @@ func gmBytes(prog *isa.Program) (in, out int64) {
 
 // opBytes measures every inventory row's per-instance GM tensor
 // traffic on chip.
-func opBytes(chip *hw.Chip, m *model.Model) (in, out []int64, err error) {
+func opBytes(chip *hw.Chip, m *model.Model, builds *kernels.BuildMemo) (in, out []int64, err error) {
 	in = make([]int64, len(m.Ops))
 	out = make([]int64, len(m.Ops))
 	for i, inst := range m.Ops {
-		prog, err := kernels.BuildCached(chip, inst.Kernel, inst.Kernel.Baseline())
+		prog, err := builds.Build(chip, inst.Kernel, inst.Kernel.Baseline())
 		if err != nil {
 			return nil, nil, fmt.Errorf("graph: %s: %s: %w", m.Name, inst.Kernel.Name(), err)
 		}
@@ -136,17 +136,22 @@ func opBytes(chip *hw.Chip, m *model.Model) (in, out []int64, err error) {
 	return in, out, nil
 }
 
-// Derive builds the dependency DAG of a workload on chip: the explicit
+// derive builds the dependency DAG of a workload on chip: the explicit
 // edge list when the model declares one, the layered derivation
-// otherwise.
-func Derive(chip *hw.Chip, m *model.Model) (*Graph, error) {
+// otherwise. Operators' baseline builds come from builds, which Run
+// shares with its duration pass.
+func derive(chip *hw.Chip, m *model.Model, builds *kernels.BuildMemo) (*Graph, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if len(m.Edges) > 0 {
-		return deriveExplicit(chip, m)
+	inB, outB, err := opBytes(chip, m, builds)
+	if err != nil {
+		return nil, err
 	}
-	return deriveLayered(chip, m)
+	if len(m.Edges) > 0 {
+		return deriveExplicit(m, inB, outB), nil
+	}
+	return deriveLayered(m, inB, outB), nil
 }
 
 // deriveLayered spreads each operator's instances over L layers (L =
@@ -155,11 +160,7 @@ func Derive(chip *hw.Chip, m *model.Model) (*Graph, error) {
 // operator with count c places floor((l+1)c/L) - floor(lc/L) instances
 // in layer l, so counts that do not divide L spread as evenly as
 // integer arithmetic allows and every instance lands exactly once.
-func deriveLayered(chip *hw.Chip, m *model.Model) (*Graph, error) {
-	inB, outB, err := opBytes(chip, m)
-	if err != nil {
-		return nil, err
-	}
+func deriveLayered(m *model.Model, inB, outB []int64) *Graph {
 	layers := 0
 	for _, inst := range m.Ops {
 		if inst.Count > layers {
@@ -197,16 +198,12 @@ func deriveLayered(chip *hw.Chip, m *model.Model) (*Graph, error) {
 			}
 		}
 	}
-	return g, nil
+	return g
 }
 
 // deriveExplicit builds one node per inventory row and takes the
 // model's declared edges verbatim; layers are longest-path depths.
-func deriveExplicit(chip *hw.Chip, m *model.Model) (*Graph, error) {
-	inB, outB, err := opBytes(chip, m)
-	if err != nil {
-		return nil, err
-	}
+func deriveExplicit(m *model.Model, inB, outB []int64) *Graph {
 	g := &Graph{Model: m}
 	depth := make([]int, len(m.Ops))
 	// Model.Validate guarantees acyclicity; a topological relaxation in
@@ -248,7 +245,7 @@ func deriveExplicit(chip *hw.Chip, m *model.Model) (*Graph, error) {
 	for _, e := range m.Edges {
 		g.Edges = append(g.Edges, Edge{From: pos[e[0]], To: pos[e[1]], Bytes: g.Nodes[pos[e[0]]].OutBytes})
 	}
-	return g, nil
+	return g
 }
 
 func maxInt(xs []int) int {

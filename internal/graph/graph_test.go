@@ -6,6 +6,7 @@ import (
 
 	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
+	"ascendperf/internal/kernels"
 	"ascendperf/internal/model"
 )
 
@@ -111,7 +112,7 @@ func TestWorkerDeterminism(t *testing.T) {
 func TestDerivedShape(t *testing.T) {
 	chip := hw.TrainingChip()
 	m := findModel(t, "Llama 2 Decode")
-	g, err := Derive(chip, m)
+	g, err := derive(chip, m, &kernels.BuildMemo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestExplicitEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Derive(chip, m)
+	g, err := derive(chip, m, &kernels.BuildMemo{})
 	if err != nil {
 		t.Fatal(err)
 	}

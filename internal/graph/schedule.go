@@ -116,10 +116,11 @@ func (s *Schedule) Utilization(c int) float64 {
 // links carry 1/o of the chip's bandwidth — concurrent operators
 // degrade each other exactly the way internal/multicore models it.
 // Occupancy 1 uses the chip itself, so single-core graph times are the
-// very simulations model.Run caches. The (op × occupancy) matrix fans
+// very simulations model.Run caches, and its builds are the ones derive
+// measured tensor bytes on. The (op × occupancy) matrix fans
 // out over the engine pool; ParallelMap keeps results in index order,
 // so worker count never changes a single bit downstream.
-func durations(chip *hw.Chip, m *model.Model, cores, workers int) ([][]int64, error) {
+func durations(chip *hw.Chip, m *model.Model, cores, workers int, builds *kernels.BuildMemo) ([][]int64, error) {
 	chips := make([]*hw.Chip, cores+1)
 	chips[1] = chip
 	for o := 2; o <= cores; o++ {
@@ -129,7 +130,7 @@ func durations(chip *hw.Chip, m *model.Model, cores, workers int) ([][]int64, er
 	flat, err := engine.ParallelMap(workers, n*cores, func(i int) (int64, error) {
 		k, o := i/cores, i%cores+1
 		inst := m.Ops[k]
-		prog, err := kernels.BuildCached(chips[o], inst.Kernel, inst.Kernel.Baseline())
+		prog, err := builds.Build(chips[o], inst.Kernel, inst.Kernel.Baseline())
 		if err != nil {
 			return 0, fmt.Errorf("graph: %s: %s: %w", m.Name, inst.Kernel.Name(), err)
 		}
@@ -182,11 +183,12 @@ func (h *readyHeap) Pop() any {
 // reproducible bit for bit. Each call adds to the graph_* counters of
 // engine.Live.
 func Run(chip *hw.Chip, m *model.Model, opts Options) (*Schedule, error) {
-	g, err := Derive(chip, m)
+	var builds kernels.BuildMemo
+	g, err := derive(chip, m, &builds)
 	if err != nil {
 		return nil, err
 	}
-	s, err := schedule(chip, g, opts)
+	s, err := schedule(chip, g, opts, &builds)
 	if err != nil {
 		return nil, err
 	}
@@ -202,13 +204,13 @@ func Run(chip *hw.Chip, m *model.Model, opts Options) (*Schedule, error) {
 }
 
 // schedule places g's nodes across cores.
-func schedule(chip *hw.Chip, g *Graph, opts Options) (*Schedule, error) {
+func schedule(chip *hw.Chip, g *Graph, opts Options, builds *kernels.BuildMemo) (*Schedule, error) {
 	cores := opts.Cores
 	if cores < 1 {
 		cores = 1
 	}
 	m := g.Model
-	per, err := durations(chip, m, cores, opts.Workers)
+	per, err := durations(chip, m, cores, opts.Workers, builds)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 )
 
 // Fingerprint returns a stable hex digest of the program: its name and
@@ -23,15 +22,16 @@ func (p *Program) Fingerprint() string {
 	if m := p.fp.Load(); m != nil && m.n == len(p.Instrs) {
 		return m.fp
 	}
+	// The encoding is built in one buffer and hashed a chunk at a time:
+	// a Write per 8-byte field cost more than the hashing itself.
 	h := sha256.New()
-	var buf [8]byte
+	buf := make([]byte, 0, fpChunk+512)
 	num := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	str := func(s string) {
 		num(int64(len(s)))
-		io.WriteString(h, s)
+		buf = append(buf, s...)
 	}
 	regions := func(rs []Region) {
 		num(int64(len(rs)))
@@ -61,8 +61,17 @@ func (p *Program) Fingerprint() string {
 		num(int64(in.EventID))
 		num(int64(in.Scope))
 		num(int64(in.Pipe))
+		if len(buf) >= fpChunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	fp := hex.EncodeToString(h.Sum(nil))
 	p.fp.Store(&fpMemo{n: len(p.Instrs), fp: fp})
 	return fp
 }
+
+// fpChunk is the encoded size at which Fingerprint hands its buffer to
+// the hash.
+const fpChunk = 4 << 10

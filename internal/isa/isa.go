@@ -24,6 +24,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -277,8 +278,13 @@ type fpMemo struct {
 	fp string
 }
 
-// Append adds instructions to the program.
+// Append adds instructions to the program. Capacity doubles when it
+// runs out: plain append grows large slices by ~1.25x per step, and
+// kernel builds append their whole stream one instruction at a time.
 func (p *Program) Append(ins ...Instr) {
+	if need := len(p.Instrs) + len(ins); need > cap(p.Instrs) {
+		p.Instrs = slices.Grow(p.Instrs, max(need, 2*len(p.Instrs), 64)-len(p.Instrs))
+	}
 	p.Instrs = append(p.Instrs, ins...)
 }
 

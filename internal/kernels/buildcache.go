@@ -3,56 +3,33 @@ package kernels
 import (
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
 )
 
-// BuildCached is the memoized Kernel.Build: repeated builds of the same
-// (chip, kernel, options) triple return one shared *isa.Program instead
-// of re-emitting the instruction stream. The multi-pass pipelines
-// (model runner passes, the optimizer's re-evaluations, benchmark
-// warm/measure pairs) rebuild identical programs constantly; with the
-// memo the rebuild costs a map lookup, and downstream per-Program memos
-// (isa.Fingerprint, the simulator's validation memo) keep paying off
-// because the pointer is stable across passes.
+// BuildMemo memoizes Kernel.Build per (chip, kernel, options) for the
+// lifetime of its owner: a model.Runner's passes, one graph.Run, one
+// opt.Optimizer. Multi-pass callers rebuild identical programs
+// constantly (a ranking pass then an optimize pass, an optimizer's
+// re-evaluations across loop iterations); with the memo a rebuild
+// costs a map lookup, and the per-Program memos (isa.Fingerprint,
+// Validate) keep paying off because the pointer is stable across
+// passes. Build errors are cached too: the optimizer's loops retry
+// infeasible configurations.
 //
-// The returned program is shared between callers and MUST NOT be
-// mutated; every current consumer only simulates or inspects it.
-// Transformation passes that edit instruction streams (internal/check
-// generators) construct their own programs and are unaffected.
+// Keys hold the chip and kernel by identity, so the memo can only hit
+// within one owner's lifetime and is dropped with it. Options captured
+// in the kernel value (tile size, unit count) are part of the key, so
+// retiled copies never collide. Kernels whose dynamic type is not
+// comparable cannot be map keys and build directly.
 //
-// Kernels key by interface identity, so two kernel objects built from
-// the same constructor memoize separately — correct (options captured
-// in the kernel value, like tile size or unit count, are part of the
-// object) at the cost of misses when callers mint fresh kernels per
-// call. Kernels whose dynamic type is not comparable cannot be map
-// keys and build directly. Build errors are never cached.
-func BuildCached(chip *hw.Chip, k Kernel, opts Options) (*isa.Program, error) {
-	if !reflect.TypeOf(k).Comparable() {
-		return k.Build(chip, opts)
-	}
-	key := buildKey{chip: chip, kernel: k, opts: opts}
-	if v, ok := buildCache.Load(key); ok {
-		return v.(*isa.Program), nil
-	}
-	prog, err := k.Build(chip, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Bound the memo so workloads minting unbounded kernel/chip objects
-	// cannot grow it without limit; past the bound builds stop memoizing.
-	if buildCacheCount.Load() < maxBuildCache {
-		if _, loaded := buildCache.LoadOrStore(key, prog); !loaded {
-			buildCacheCount.Add(1)
-		} else if v, ok := buildCache.Load(key); ok {
-			// Lost an insert race: hand out the stored program so every
-			// caller shares one pointer.
-			return v.(*isa.Program), nil
-		}
-	}
-	return prog, nil
+// Returned programs are shared between hits and MUST NOT be mutated;
+// every consumer only simulates or inspects them. The zero value is
+// ready to use and safe for concurrent use.
+type BuildMemo struct {
+	mu sync.Mutex
+	m  map[buildKey]built
 }
 
 type buildKey struct {
@@ -61,9 +38,34 @@ type buildKey struct {
 	opts   Options
 }
 
-var (
-	buildCache      sync.Map // buildKey -> *isa.Program
-	buildCacheCount atomic.Int64
-)
+type built struct {
+	prog *isa.Program
+	err  error
+}
 
-const maxBuildCache = 4096
+// Build returns k.Build(chip, opts), memoized.
+func (b *BuildMemo) Build(chip *hw.Chip, k Kernel, opts Options) (*isa.Program, error) {
+	if !reflect.TypeOf(k).Comparable() {
+		return k.Build(chip, opts)
+	}
+	key := buildKey{chip: chip, kernel: k, opts: opts}
+	b.mu.Lock()
+	r, ok := b.m[key]
+	b.mu.Unlock()
+	if ok {
+		return r.prog, r.err
+	}
+	prog, err := k.Build(chip, opts)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if r, ok := b.m[key]; ok {
+		// Lost a race with a concurrent build of the same key: hand out
+		// the stored result so every caller shares one pointer.
+		return r.prog, r.err
+	}
+	if b.m == nil {
+		b.m = make(map[buildKey]built)
+	}
+	b.m[key] = built{prog: prog, err: err}
+	return prog, err
+}

@@ -161,6 +161,12 @@ type Runner struct {
 	// Workers bounds the per-operator fan-out; 0 uses the engine
 	// default (ASCENDPERF_WORKERS or GOMAXPROCS), 1 runs serially.
 	Workers int
+
+	// builds memoizes kernel builds across the runner's passes and the
+	// optimizers it creates: the top-n ranking pass, the optimizer's
+	// baseline and the unselected-operator pass share one program per
+	// operator. It lives and dies with the runner.
+	builds kernels.BuildMemo
 }
 
 // NewRunner returns a runner with default thresholds.
@@ -231,6 +237,7 @@ func (r *Runner) run(m *Model, topN int) (*RunResult, error) {
 	res := &RunResult{Model: m, Chip: r.Chip.Name}
 	o := opt.New(r.Chip)
 	o.Thresholds = r.Thresholds
+	o.Builds = &r.builds
 	ops, err := engine.ParallelMap(r.Workers, len(m.Ops), func(i int) (OpResult, error) {
 		inst := m.Ops[i]
 		var or OpResult
@@ -249,7 +256,7 @@ func (r *Runner) run(m *Model, topN int) (*RunResult, error) {
 			or.OptimizedBound = boundOf(out.FinalAnalysis)
 			or.Applied = out.Applied()
 		} else {
-			prog, err := kernels.BuildCached(r.Chip, inst.Kernel, inst.Kernel.Baseline())
+			prog, err := r.builds.Build(r.Chip, inst.Kernel, inst.Kernel.Baseline())
 			if err != nil {
 				return or, fmt.Errorf("model %s: %s: %w", m.Name, or.Name, err)
 			}
@@ -302,7 +309,7 @@ func (r *Runner) RunAll(ms []*Model) ([]*RunResult, error) {
 // baseline simulates one operator at its shipped options and returns the
 // per-instance time.
 func (r *Runner) baseline(m *Model, inst OpInstance) (float64, error) {
-	prog, err := kernels.BuildCached(r.Chip, inst.Kernel, inst.Kernel.Baseline())
+	prog, err := r.builds.Build(r.Chip, inst.Kernel, inst.Kernel.Baseline())
 	if err != nil {
 		return 0, fmt.Errorf("model %s: %s: %w", m.Name, inst.Kernel.Name(), err)
 	}

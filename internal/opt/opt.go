@@ -7,7 +7,6 @@ package opt
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"ascendperf/internal/core"
 	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
-	"ascendperf/internal/isa"
 	"ascendperf/internal/kernels"
 	"ascendperf/internal/profile"
 	"ascendperf/internal/sim"
@@ -140,17 +138,14 @@ type Optimizer struct {
 	// reduction, so the parallel loop matches the serial one exactly.
 	Workers int
 
-	// buildMu guards buildMemo, the kernel-build memoization of the
-	// candidate loop: each (kernel value, options) pair is built once
-	// per optimizer, so re-evaluations across loop iterations (the
-	// baseline of every pass, a strategy re-tried after another one
-	// landed, the incoming point of a tile sweep) skip program
-	// construction entirely. Keys embed the kernel interface value, so
-	// retiled copies (WithTileSize) and distinct shapes under one name
-	// never collide; kernels with uncomparable dynamic types bypass the
-	// memo.
-	buildMu   sync.Mutex
-	buildMemo map[buildKey]buildResult
+	// Builds memoizes the loop's kernel builds per (chip, kernel value,
+	// options), so re-evaluations across loop iterations (the baseline
+	// of every pass, a strategy re-tried after another one landed, the
+	// incoming point of a tile sweep) skip program construction and
+	// infeasible configurations are not rebuilt to fail again. New
+	// allocates one; a model.Runner shares its own so its ranking and
+	// unselected-operator passes reuse the optimizer's builds.
+	Builds *kernels.BuildMemo
 
 	// simMu guards simMemo, the structural-dedup layer of the candidate
 	// loop: distinct option sets frequently build byte-identical
@@ -185,25 +180,13 @@ func DedupCounters() (hits, misses uint64) {
 	return dedupHits.Load(), dedupMisses.Load()
 }
 
-// buildKey identifies one build: the kernel value and the option set.
-type buildKey struct {
-	kernel kernels.Kernel
-	opts   kernels.Options
-}
-
-// buildResult caches a build outcome; errors (infeasible configurations
-// the loops retry) are cached alongside programs.
-type buildResult struct {
-	prog *isa.Program
-	err  error
-}
-
 // New returns an optimizer with default settings for the chip.
 func New(chip *hw.Chip) *Optimizer {
 	return &Optimizer{
 		Chip:       chip,
 		Thresholds: core.DefaultThresholds(),
 		Exhaustive: true,
+		Builds:     &kernels.BuildMemo{},
 	}
 }
 
@@ -213,7 +196,7 @@ func New(chip *hw.Chip) *Optimizer {
 // sweep) are cache hits, and the build itself is memoized per
 // (kernel, options) so repeated evaluations skip program construction.
 func (o *Optimizer) run(k kernels.Kernel, opts kernels.Options) (*profile.Profile, error) {
-	prog, err := o.build(k, opts)
+	prog, err := o.Builds.Build(o.Chip, k, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -245,34 +228,6 @@ func (o *Optimizer) run(k kernels.Kernel, opts kernels.Options) (*profile.Profil
 	// The memoized profile is shared between hits; callers get a
 	// private clone, matching engine.Simulate's contract.
 	return e.prof.Clone(), nil
-}
-
-// build is the memoized k.Build. The returned program is shared between
-// hits and must not be mutated; the optimizer only simulates it, which
-// never writes. Kernels whose dynamic type is not comparable (and hence
-// cannot be a map key) build directly. Misses go through the process
-// build cache (kernels.BuildCached), so programs are shared across
-// optimizer instances too; the per-optimizer memo adds error caching
-// (infeasible configurations the loops retry).
-func (o *Optimizer) build(k kernels.Kernel, opts kernels.Options) (*isa.Program, error) {
-	if !reflect.TypeOf(k).Comparable() {
-		return k.Build(o.Chip, opts)
-	}
-	key := buildKey{kernel: k, opts: opts}
-	o.buildMu.Lock()
-	r, ok := o.buildMemo[key]
-	o.buildMu.Unlock()
-	if ok {
-		return r.prog, r.err
-	}
-	prog, err := kernels.BuildCached(o.Chip, k, opts)
-	o.buildMu.Lock()
-	if o.buildMemo == nil {
-		o.buildMemo = make(map[buildKey]buildResult)
-	}
-	o.buildMemo[key] = buildResult{prog: prog, err: err}
-	o.buildMu.Unlock()
-	return prog, err
 }
 
 // Optimize runs the analysis-optimization loop on a kernel from its

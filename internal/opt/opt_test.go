@@ -2,6 +2,7 @@ package opt
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ascendperf/internal/core"
@@ -200,14 +201,15 @@ func TestSpeedupZeroFinal(t *testing.T) {
 }
 
 // countingKernel wraps a kernel and counts Build invocations. It is a
-// pointer type, so the build-memo key is the wrapper's identity.
+// pointer type, so the build-memo key is the wrapper's identity. The
+// optimizer builds candidates concurrently, so the count is atomic.
 type countingKernel struct {
 	kernels.Kernel
-	builds int
+	builds atomic.Int64
 }
 
 func (c *countingKernel) Build(chip *hw.Chip, opts kernels.Options) (*isa.Program, error) {
-	c.builds++
+	c.builds.Add(1)
 	return c.Kernel.Build(chip, opts)
 }
 
@@ -232,16 +234,16 @@ func TestBuildMemoBuildsEachOptionSetOnce(t *testing.T) {
 	for _, c := range kernels.AllStrategies() {
 		distinct[kernels.Apply(opts, c)] = true
 	}
-	if k.builds > len(distinct) {
-		t.Errorf("Build called %d times for at most %d distinct option sets", k.builds, len(distinct))
+	if n := k.builds.Load(); n > int64(len(distinct)) {
+		t.Errorf("Build called %d times for at most %d distinct option sets", n, len(distinct))
 	}
 	// A second optimize pass over the same kernel is fully memoized.
-	before := k.builds
+	before := k.builds.Load()
 	if _, err := o.Optimize(k); err != nil {
 		t.Fatal(err)
 	}
-	if k.builds != before {
-		t.Errorf("re-optimize rebuilt programs: %d -> %d builds", before, k.builds)
+	if after := k.builds.Load(); after != before {
+		t.Errorf("re-optimize rebuilt programs: %d -> %d builds", before, after)
 	}
 }
 

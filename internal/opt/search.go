@@ -163,7 +163,7 @@ func (s *searcher) optsFor(mask uint32) kernels.Options {
 // build returns the state's program via the optimizer build memo; an
 // error means the configuration is infeasible at that tile size.
 func (s *searcher) build(st state) (*isa.Program, error) {
-	return s.o.build(s.variants[st.tile], s.optsFor(st.mask))
+	return s.o.Builds.Build(s.o.Chip, s.variants[st.tile], s.optsFor(st.mask))
 }
 
 // countExact charges one exact simulation of prog against the budget,

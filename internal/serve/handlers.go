@@ -22,13 +22,17 @@ import (
 	"ascendperf/internal/trace"
 )
 
-// chipPresets maps the names the service accepts to constructors. The
-// service resolves presets only — unlike the CLIs it never opens
-// server-side files from request input.
-var chipPresets = map[string]func() *hw.Chip{
-	"training":  hw.TrainingChip,
-	"inference": hw.InferenceChip,
-	"tpu":       hw.TPUStyleChip,
+// chipPresets maps the names the service accepts to one shared chip
+// each. The service resolves presets only — unlike the CLIs it never
+// opens server-side files from request input. Every request on a preset
+// gets the same pointer, which hw.Chip's immutability makes safe, so
+// the per-chip memos (engine fingerprints, simulator chip tables,
+// program validation) hit across requests instead of filling up with
+// equal copies.
+var chipPresets = map[string]*hw.Chip{
+	"training":  hw.TrainingChip(),
+	"inference": hw.InferenceChip(),
+	"tpu":       hw.TPUStyleChip(),
 }
 
 // chipByPreset resolves a preset name, defaulting to training.
@@ -36,11 +40,11 @@ func chipByPreset(name string) (*hw.Chip, error) {
 	if name == "" {
 		name = "training"
 	}
-	mk, ok := chipPresets[name]
+	chip, ok := chipPresets[name]
 	if !ok {
 		return nil, notFound("unknown chip %q (presets: inference, tpu, training)", name)
 	}
-	return mk(), nil
+	return chip, nil
 }
 
 // decodeStrict unmarshals body into v rejecting unknown fields, so a

@@ -634,3 +634,64 @@ func TestRespCacheLRU(t *testing.T) {
 		t.Errorf("stats = %d/%d/%d", hits, misses, entries)
 	}
 }
+
+// TestChipPresetsStayImmutable serves every /v1/* endpoint once per
+// chip preset and checks each preset's fingerprint afterwards: requests
+// share one *hw.Chip per preset, which is only sound while no request
+// path writes to it.
+func TestChipPresetsStayImmutable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	before := map[string]string{}
+	for name, chip := range chipPresets {
+		fp, err := chip.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = fp
+	}
+	for _, path := range []string{"/v1/ops", "/v1/models", "/v1/chips", "/v1/stats"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s = %d", path, resp.StatusCode)
+		}
+	}
+	tiny := `"workload":{"name":"tiny","ops":[{"op":"mul","count":2},{"op":"add_relu","count":1}]}`
+	served := map[string]bool{}
+	for name := range chipPresets {
+		for _, c := range []struct{ endpoint, body string }{
+			{"simulate", `{"op":"add_relu"}`},
+			{"simulate", `{"program":"copy GM->UB bytes=64 reads=GM[0:64) writes=UB[0:64)"}`},
+			{"roofline", `{"op":"softmax","optimized":true}`},
+			{"optimize", `{"op":"add_relu"}`},
+			{"optimize", `{"op":"add_relu","search":true}`},
+			{"trace", `{"op":"add_relu"}`},
+			{"model", `{` + tiny + `,"top_n":1}`},
+			{"graph", `{` + tiny + `,"cores":2}`},
+		} {
+			body := `{"chip":"` + name + `",` + c.body[1:]
+			resp, out := postJSON(t, ts.URL+"/v1/"+c.endpoint, body)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s %s = %d: %s", c.endpoint, body, resp.StatusCode, out)
+			}
+			served[c.endpoint] = true
+		}
+	}
+	for endpoint := range analysisParsers {
+		if !served[endpoint] {
+			t.Errorf("endpoint /v1/%s not exercised", endpoint)
+		}
+	}
+	for name, chip := range chipPresets {
+		fp, err := chip.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != before[name] {
+			t.Errorf("preset %q changed while serving requests", name)
+		}
+	}
+}

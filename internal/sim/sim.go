@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
@@ -84,47 +83,13 @@ func Run(chip *hw.Chip, prog *isa.Program) (*profile.Profile, error) {
 	return RunOpts(chip, prog, Options{KeepSpans: true})
 }
 
-// validKey identifies one successful validation. The instruction count
-// is part of the key: Append — the only mutation API on Program — grows
-// it, so an appended-to program re-validates. In-place edits of
-// Program.Instrs after a run are not supported (nothing in the
-// repository does that; every program transformation builds a fresh
-// Program), matching the immutability the engine cache's fingerprint
-// keys already assume.
-type validKey struct {
-	prog *isa.Program
-	chip *hw.Chip
-	n    int
-}
-
-// validated memoizes successful (program, chip) validations so repeated
-// runs of one program — the sweep/tune/optimizer/harness pattern —
-// skip the O(instructions) validation walk. Holding the pointers keeps
-// both alive, so a cached key can never alias a different reallocated
-// object; the count bound caps the pinned memory for workloads that
-// mint unbounded programs, which simply stop memoizing past the bound.
-var (
-	validated  sync.Map // validKey -> struct{}
-	nValidated atomic.Int64
-)
-
-const maxValidated = 4096
-
 // RunOpts simulates the program on the chip with explicit options.
 func RunOpts(chip *hw.Chip, prog *isa.Program, opts Options) (*profile.Profile, error) {
 	if err := chip.Validate(); err != nil {
 		return nil, err
 	}
-	vk := validKey{prog: prog, chip: chip, n: len(prog.Instrs)}
-	if _, ok := validated.Load(vk); !ok {
-		if err := prog.Validate(chip); err != nil {
-			return nil, err
-		}
-		if nValidated.Load() < maxValidated {
-			if _, loaded := validated.LoadOrStore(vk, struct{}{}); !loaded {
-				nValidated.Add(1)
-			}
-		}
+	if err := prog.Validate(chip); err != nil {
+		return nil, err
 	}
 	s := acquireState()
 	defer releaseState(s)
