@@ -43,17 +43,17 @@ func (g *flightGroup) Stats() (leaders, followers uint64) {
 }
 
 // Do executes fn once per concurrent set of callers sharing key. The
-// first caller becomes the leader: fn runs on a detached goroutine with
-// the leader's context, so a follower cancelling never aborts work
-// others still wait on. Every caller — leader included — honours its
-// own ctx while waiting; shared reports whether this caller attached to
-// an execution started by someone else.
+// first caller becomes the leader: fn runs on a detached goroutine, so
+// no caller giving up — leader included — aborts work others still
+// wait on; fn bounds its own work. Every caller honours its own ctx
+// while waiting; shared reports whether this caller attached to an
+// execution started by someone else.
 //
 // The returned value is shared between all callers of one flight, so fn
 // must return a value that is safe to read concurrently (the handlers
 // return encoded bytes or freshly built response structs that callers
 // only serialize).
-func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) (any, error)) (val any, shared bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
 		g.followers++
@@ -80,7 +80,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 			g.mu.Unlock()
 			close(c.done)
 		}()
-		c.val, c.err = fn(ctx)
+		c.val, c.err = fn()
 	}()
 
 	select {

@@ -38,7 +38,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.Do(context.Background(), "k", func(context.Context) (any, error) {
+			v, shared, err := g.Do(context.Background(), "k", func() (any, error) {
 				runs.Add(1)
 				<-gate
 				return "result", nil
@@ -91,7 +91,7 @@ func TestFlightGroupDistinctKeys(t *testing.T) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			if _, _, err := g.Do(context.Background(), key, func(context.Context) (any, error) {
+			if _, _, err := g.Do(context.Background(), key, func() (any, error) {
 				runs.Add(1)
 				return key, nil
 			}); err != nil {
@@ -111,7 +111,7 @@ func TestFlightGroupFollowerHonoursContext(t *testing.T) {
 	defer close(gate)
 
 	started := make(chan struct{})
-	go g.Do(context.Background(), "k", func(context.Context) (any, error) {
+	go g.Do(context.Background(), "k", func() (any, error) {
 		close(started)
 		<-gate
 		return nil, nil
@@ -125,7 +125,7 @@ func TestFlightGroupFollowerHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, shared, err := g.Do(ctx, "k", func(context.Context) (any, error) { return nil, nil })
+		_, shared, err := g.Do(ctx, "k", func() (any, error) { return nil, nil })
 		if !shared {
 			t.Error("cancelled follower not marked shared")
 		}
@@ -143,14 +143,14 @@ func TestFlightGroupFollowerHonoursContext(t *testing.T) {
 
 func TestFlightGroupPanicBecomesError(t *testing.T) {
 	g := newFlightGroup()
-	_, _, err := g.Do(context.Background(), "k", func(context.Context) (any, error) {
+	_, _, err := g.Do(context.Background(), "k", func() (any, error) {
 		panic("boom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "handler panic") {
 		t.Fatalf("panic surfaced as %v", err)
 	}
 	// The flight must be cleaned up: a later call runs fresh.
-	v, shared, err := g.Do(context.Background(), "k", func(context.Context) (any, error) {
+	v, shared, err := g.Do(context.Background(), "k", func() (any, error) {
 		return "fine", nil
 	})
 	if err != nil || shared || v.(string) != "fine" {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -137,7 +136,7 @@ func parseSimulate(body []byte) (*parsedRequest, error) {
 	}
 	return &parsedRequest{
 		key: canonicalKey(req),
-		run: func(context.Context) ([]byte, bool, error) {
+		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
 				return nil, false, err
@@ -179,7 +178,7 @@ func parseRoofline(body []byte) (*parsedRequest, error) {
 	}
 	return &parsedRequest{
 		key: canonicalKey(req),
-		run: func(context.Context) ([]byte, bool, error) {
+		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
 				return nil, false, err
@@ -236,7 +235,7 @@ func parseOptimize(body []byte) (*parsedRequest, error) {
 	}
 	return &parsedRequest{
 		key: canonicalKey(req),
-		run: func(context.Context) ([]byte, bool, error) {
+		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
 				return nil, false, err
@@ -303,7 +302,7 @@ func parseTrace(body []byte) (*parsedRequest, error) {
 	}
 	return &parsedRequest{
 		key: canonicalKey(req),
-		run: func(context.Context) ([]byte, bool, error) {
+		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
 				return nil, false, err
@@ -340,7 +339,7 @@ func parseModel(body []byte) (*parsedRequest, error) {
 	}
 	return &parsedRequest{
 		key: canonicalKey(req),
-		run: func(context.Context) ([]byte, bool, error) {
+		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
 				return nil, false, err
@@ -435,7 +434,7 @@ func parseGraph(body []byte) (*parsedRequest, error) {
 	}
 	return &parsedRequest{
 		key: canonicalKey(req),
-		run: func(context.Context) ([]byte, bool, error) {
+		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
 				return nil, false, err

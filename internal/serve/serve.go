@@ -284,7 +284,7 @@ func (g *inflightGauge) Wait() {
 // estimate (approx results bypass every response cache tier).
 type parsedRequest struct {
 	key string
-	run func(ctx context.Context) ([]byte, bool, error)
+	run func() ([]byte, bool, error)
 }
 
 // flightResult is what one analysis flight produces: the encoded body
@@ -339,7 +339,12 @@ func (s *Server) analysis(endpoint string, parse func(body []byte) (*parsedReque
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
-		val, shared, err := s.flights.Do(ctx, fullKey, func(ctx context.Context) (any, error) {
+		val, shared, err := s.flights.Do(ctx, fullKey, func() (any, error) {
+			// The flight keeps going when its leader's client drops:
+			// followers still wait on it. Its own deadline bounds the
+			// admission wait instead.
+			ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.Timeout)
+			defer cancel()
 			// The L2 lookup lives inside the flight: a burst of identical
 			// cold requests pays one shared-cache round trip, and on miss
 			// one simulation, then one fill — cluster-wide, when a
@@ -355,7 +360,7 @@ func (s *Server) analysis(endpoint string, parse func(body []byte) (*parsedReque
 				return nil, err
 			}
 			defer s.adm.release()
-			body, approx, err := preq.run(ctx)
+			body, approx, err := preq.run()
 			if err != nil {
 				return nil, err
 			}

@@ -299,7 +299,7 @@ func registerBlocking(s *Server, path string, gate chan struct{}, runs *atomic.I
 		key := string(body)
 		return &parsedRequest{
 			key: key,
-			run: func(ctx context.Context) ([]byte, bool, error) {
+			run: func() ([]byte, bool, error) {
 				runs.Add(1)
 				// One real simulation per execution, so the coalescing
 				// test's "one underlying simulation" claim is literal.
@@ -308,11 +308,7 @@ func registerBlocking(s *Server, path string, gate chan struct{}, runs *atomic.I
 				if _, err := engine.Simulate(hw.TrainingChip(), prog, sim.Options{}); err != nil {
 					return nil, false, err
 				}
-				select {
-				case <-gate:
-				case <-ctx.Done():
-					return nil, false, ctx.Err()
-				}
+				<-gate
 				return []byte(`{"ok":true}`), false, nil
 			},
 		}, nil
@@ -493,6 +489,64 @@ func TestRequestTimeout(t *testing.T) {
 	var env errorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "timeout" {
 		t.Errorf("timeout body = %s", body)
+	}
+}
+
+// TestLeaderDisconnectKeepsFollowers: a flight outlives its leader's
+// client. The leader's request waits for the only admission slot, a
+// follower attaches to its flight, and then the leader's client drops;
+// once the slot frees, the follower must still get its answer.
+func TestLeaderDisconnectKeepsFollowers(t *testing.T) {
+	// The short timeout only bounds how long a failing run hangs.
+	s, ts := newTestServer(t, Config{Concurrency: 1, Timeout: 5 * time.Second})
+	gate := make(chan struct{})
+	close(gate) // executions complete immediately
+	var runs atomic.Int32
+	registerBlocking(s, "/v1/testblock", gate, &runs)
+	if err := s.adm.acquire(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/testblock", strings.NewReader("shared"))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "leader waiting for the slot", func() bool { return s.adm.Waiting() == 1 })
+
+	follower := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/testblock", "application/json", strings.NewReader("shared"))
+		if err != nil {
+			follower <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		follower <- resp.StatusCode
+	}()
+	waitFor(t, "follower attached", func() bool {
+		_, followers := s.flights.Stats()
+		return followers == 1
+	})
+
+	cancel()
+	<-leaderDone
+	waitFor(t, "leader's handler gave up", func() bool { return s.StatsSnapshot().Serve.Errors >= 1 })
+	s.adm.release()
+	if st := <-follower; st != http.StatusOK {
+		t.Fatalf("follower of a disconnected leader = %d, want 200", st)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("flight ran %d times, want 1", got)
 	}
 }
 
