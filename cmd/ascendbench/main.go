@@ -169,6 +169,11 @@ func main() {
 // operator registry against the exhaustive joint reference: the exact
 // simulations each issued, the fraction the search saved, and whether
 // every per-kernel best time matched (search_parity).
+//
+// Schema v6: drops optimize_deduped. The optimizer's private
+// fingerprint memo is gone; the engine cache coalesces concurrent
+// misses instead, so the candidates it used to absorb now count in
+// optimize_cache_hits.
 type engineBench struct {
 	Schema          string  `json:"schema"`
 	Chip            string  `json:"chip"`
@@ -193,7 +198,6 @@ type engineBench struct {
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 	OptimizeHits    uint64  `json:"optimize_cache_hits"`
 	OptimizeHitRate float64 `json:"optimize_cache_hit_rate"`
-	OptimizeDeduped uint64  `json:"optimize_deduped"`
 
 	// Learned-surrogate evaluation over the differential corpus (only
 	// with -surrogate; see FORMATS.md §10.3).
@@ -276,7 +280,7 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	}
 
 	rec := engineBench{
-		Schema:    "ascendperf/bench-engine/v5",
+		Schema:    "ascendperf/bench-engine/v6",
 		Chip:      chip.Name,
 		Workloads: len(models),
 	}
@@ -371,7 +375,6 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	// every baseline the analyze pass already ran, so its hit count
 	// measures how much the cycle reuses simulations.
 	engine.SetCacheCapacity(engine.DefaultCacheCapacity)
-	deduped0, _ := opt.DedupCounters()
 	r := model.NewRunner(chip)
 	if _, err := r.Run(models[0]); err != nil {
 		return err
@@ -380,8 +383,6 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 		return err
 	}
 	optStats := engine.DefaultCache().Stats()
-	deduped, _ := opt.DedupCounters()
-	rec.OptimizeDeduped = deduped - deduped0
 
 	rec.SerialNS = serial.Nanoseconds()
 	rec.ParallelNS = parallel.Nanoseconds()
@@ -433,8 +434,8 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 		fmt.Printf("  workers=%-3d %12s  (%.2fx)\n", pt.Workers, time.Duration(pt.NS), pt.Speedup)
 	}
 	fmt.Printf("  cached   %12s  (%.2fx, hit rate %.1f%%)\n", cached, rec.CachedSpeedup, 100*rec.CacheHitRate)
-	fmt.Printf("  optimize loop cache hit rate %.1f%% (%d hits, %d candidates deduplicated)\n",
-		100*rec.OptimizeHitRate, rec.OptimizeHits, rec.OptimizeDeduped)
+	fmt.Printf("  optimize loop cache hit rate %.1f%% (%d hits)\n",
+		100*rec.OptimizeHitRate, rec.OptimizeHits)
 	if rec.SurrogateModel != "" {
 		fmt.Printf("  surrogate %s: coverage %.1f%%, MAPE %.4f, p99 %.4f, %.0f ns/predict\n",
 			rec.SurrogateModel, 100*rec.SurrogateCoverage, rec.SurrogateMAPE, rec.SurrogateP99, rec.SurrogatePredictNS)

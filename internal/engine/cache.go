@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -35,9 +36,8 @@ func (s CacheStats) HitRate() float64 {
 // Cache memoizes simulation results keyed by the stable fingerprint of
 // (chip specification, program, sim options). It is safe for concurrent
 // use. Hits return deep copies, so a caller mutating a result can never
-// corrupt later hits. Two goroutines missing on the same key may both
-// simulate; the simulation is pure, so either result is correct and one
-// simply wins the insert.
+// corrupt later hits. Concurrent misses on one key coalesce: one caller
+// simulates and the others wait for its result.
 //
 // Chip fingerprints are memoized per *hw.Chip pointer, relying on the
 // documented Chip contract of immutability after construction.
@@ -71,7 +71,8 @@ type cacheShard struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	_         [40]byte
+	flights   map[string]*flight // in-progress misses by flight key
+	_         [32]byte
 }
 
 // chipFPs memoizes fingerprints per chip pointer, shared by every cache
@@ -131,6 +132,7 @@ func NewCache(capacity int) *Cache {
 		}
 		s.ll = list.New()
 		s.byKey = make(map[string]*list.Element, s.capacity)
+		s.flights = make(map[string]*flight)
 	}
 	return c
 }
@@ -190,36 +192,87 @@ func cacheKey(chip *hw.Chip, prog *isa.Program, opts sim.Options) (string, bool)
 	return chipFP + "|" + prog.Fingerprint() + "|" + string(flags), true
 }
 
-// lookup returns a deep copy of the cached profile for key, or nil.
-// The deep copy happens outside the shard lock: cached profiles are
-// immutable once inserted (inserts store private copies, hits hand out
-// clones), so the pointer stays valid after unlock even if the entry
-// is evicted concurrently — and the lock is held only for the map
-// probe and LRU bump, not the profile copy.
-func (c *Cache) lookup(key string) *profile.Profile {
+// flight is one in-progress miss: the first caller to miss a flight
+// key runs the lower tiers while later callers wait on done. prof is
+// the leader's result, privately copied (and cached when exact), which
+// waiters copy again; err is the leader's error. Both are set before
+// done closes.
+type flight struct {
+	done chan struct{}
+	prof *profile.Profile
+	err  error
+}
+
+// approxFlight suffixes the flight key of callers that accept a
+// surrogate estimate, so an exact caller never joins a flight whose
+// leader may answer with one.
+const approxFlight = "|approx"
+
+// errFlightAborted is what a flight's waiters get if its leader panics.
+var errFlightAborted = errors.New("engine: coalesced simulation aborted")
+
+// do answers key from the memory tier and coalesces concurrent misses:
+// a hit returns a deep copy of the cached profile; the first caller to
+// miss runs fill (the lower tiers) and caches its result if exact;
+// callers arriving meanwhile wait for that result, get a deep copy of
+// it and count as hits. approx callers accept estimates and share
+// flights only with each other.
+//
+// Copies happen outside the shard lock: cached profiles are immutable
+// once inserted, so the pointer stays valid after unlock even if the
+// entry is evicted concurrently.
+func (c *Cache) do(key string, approx bool, fill func() (*profile.Profile, error)) (*profile.Profile, error) {
 	s := c.shard(key)
 	s.mu.Lock()
-	el, ok := s.byKey[key]
-	if !ok {
-		s.misses++
+	if el, ok := s.byKey[key]; ok {
+		s.hits++
+		s.ll.MoveToFront(el)
+		prof := el.Value.(*cacheEntry).prof
 		s.mu.Unlock()
-		return nil
+		return prof.Clone(), nil
 	}
-	s.hits++
-	s.ll.MoveToFront(el)
-	prof := el.Value.(*cacheEntry).prof
+	fkey := key
+	if approx {
+		fkey += approxFlight
+	}
+	if f, ok := s.flights[fkey]; ok {
+		s.hits++
+		s.mu.Unlock()
+		<-f.done
+		if f.err != nil {
+			return nil, f.err
+		}
+		return f.prof.Clone(), nil
+	}
+	s.misses++
+	f := &flight{done: make(chan struct{}), err: errFlightAborted}
+	s.flights[fkey] = f
 	s.mu.Unlock()
-	return prof.Clone()
+
+	var p *profile.Profile
+	defer func() {
+		if p != nil {
+			f.prof = p.Clone()
+		}
+		s.mu.Lock()
+		delete(s.flights, fkey)
+		if p != nil && !p.Approx {
+			s.insert(key, f.prof)
+		}
+		s.mu.Unlock()
+		close(f.done)
+	}()
+	p, f.err = fill()
+	return p, f.err
 }
 
 // insert stores prof (which must be private to the cache) under key,
-// evicting the least recently used entry beyond the shard's capacity.
-func (c *Cache) insert(key string, prof *profile.Profile) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// evicting the least recently used entries beyond the shard's capacity.
+// The caller holds s.mu.
+func (s *cacheShard) insert(key string, prof *profile.Profile) {
 	if el, ok := s.byKey[key]; ok {
-		// Lost a race with another inserter; keep the existing entry.
+		// An estimate flight's gated fallback simulated the same key
+		// as an exact flight; keep the existing entry.
 		s.ll.MoveToFront(el)
 		return
 	}
@@ -232,38 +285,59 @@ func (c *Cache) insert(key string, prof *profile.Profile) {
 	}
 }
 
-// Simulate runs the program on the chip with memoization: a hit returns
-// a deep copy of the cached profile; a miss simulates, caches a private
-// copy and returns the freshly computed profile. Errors are never
-// cached. The result is always the caller's to mutate.
-//
-// When a disk cache is configured (SetDiskCacheDir), a memory miss
-// consults it before simulating, and a simulated result is persisted so
-// later processes warm-start.
-func (c *Cache) Simulate(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profile.Profile, error) {
-	key, ok := cacheKey(chip, prog, opts)
-	if !ok {
-		return sim.RunOpts(chip, prog, opts)
+// simulate is the one place that orders the simulation tiers: memory
+// cache c (nil when disabled), disk cache, surrogate pred (nil for
+// exact callers), exact simulator. Only exact results fill the memory
+// and disk tiers, and a gated estimate's exact fallback is handed to
+// the predictor as training data. Whatever tier answers, the profile
+// is private to the caller.
+func simulate(c *Cache, chip *hw.Chip, prog *isa.Program, opts sim.Options, pred Predictor) (*profile.Profile, error) {
+	d := diskCache.Load()
+	key, ok := "", false
+	if c != nil || d != nil {
+		key, ok = cacheKey(chip, prog, opts)
 	}
-	if p := c.lookup(key); p != nil {
+	if !ok {
+		c, d = nil, nil
+	}
+	lower := func() (*profile.Profile, error) {
+		if d != nil {
+			if p := d.load(key); p != nil {
+				return p, nil
+			}
+		}
+		if pred != nil {
+			if p, ok := pred.Predict(chip, prog, opts); ok && p != nil {
+				atomic.AddUint64(&Live.SurrogatePredicted, 1)
+				return p, nil
+			}
+			atomic.AddUint64(&Live.SurrogateGated, 1)
+			atomic.AddUint64(&Live.SurrogateFallback, 1)
+		}
+		p, err := sim.RunOpts(chip, prog, opts)
+		if err != nil {
+			return nil, err
+		}
+		if d != nil {
+			d.store(key, p)
+		}
+		if pred != nil {
+			pred.RecordExact(chip, prog, p)
+		}
 		return p, nil
 	}
-	d := diskCache.Load()
-	if d != nil {
-		if p := d.load(key); p != nil {
-			c.insert(key, p.Clone())
-			return p, nil
-		}
+	if c == nil {
+		return lower()
 	}
-	p, err := sim.RunOpts(chip, prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.insert(key, p.Clone())
-	if d != nil {
-		d.store(key, p)
-	}
-	return p, nil
+	return c.do(key, pred != nil, lower)
+}
+
+// Simulate runs the program on the chip through this cache, then the
+// disk cache (SetDiskCacheDir), then the exact simulator. Concurrent
+// misses on one key simulate once. Errors are never cached. The result
+// is always the caller's to mutate.
+func (c *Cache) Simulate(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profile.Profile, error) {
+	return simulate(c, chip, prog, opts, nil)
 }
 
 // defaultCache is the process-wide cache consulted by Simulate. It
@@ -293,32 +367,11 @@ func SetCacheCapacity(n int) {
 }
 
 // Simulate is the shared simulate entry point of the hot paths: it runs
-// the program through the process-default cache, or directly when
-// caching is disabled. Cached or not, the returned profile is always
-// private to the caller and the bytes are identical to an uncached
-// sim.RunOpts (the simulator is deterministic).
+// the program through the process-default cache, or past it when
+// caching is disabled (the disk tier, if configured, still applies).
+// Cached or not, the returned profile is always private to the caller
+// and the bytes are identical to an uncached sim.RunOpts (the simulator
+// is deterministic).
 func Simulate(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profile.Profile, error) {
-	c := defaultCache.Load()
-	if c != nil {
-		return c.Simulate(chip, prog, opts)
-	}
-	// Memory cache disabled: the disk layer (if configured) still
-	// applies, so CLI runs with -cache 0 keep their warm start.
-	d := diskCache.Load()
-	if d == nil {
-		return sim.RunOpts(chip, prog, opts)
-	}
-	key, ok := cacheKey(chip, prog, opts)
-	if !ok {
-		return sim.RunOpts(chip, prog, opts)
-	}
-	if p := d.load(key); p != nil {
-		return p, nil
-	}
-	p, err := sim.RunOpts(chip, prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	d.store(key, p)
-	return p, nil
+	return simulate(defaultCache.Load(), chip, prog, opts, nil)
 }

@@ -12,19 +12,29 @@
 //     microbenchmark points; ParallelMap exploits that while keeping
 //     parallel output byte-identical to serial execution.
 //
-//   - Cache, a concurrency-safe, size-bounded LRU memoization cache
-//     for simulation results. A simulation is a pure function of
-//     (chip, program, options); the iterative pipelines re-simulate
-//     identical tuples constantly (the optimizer re-evaluates its
-//     baseline, the model runner re-simulates operators it already
+//   - Simulate, SimulateApprox and Cache.Simulate, which answer a
+//     simulation from one tier order: the memory Cache, the disk
+//     cache (SetDiskCacheDir), the learned surrogate (SimulateApprox
+//     only, SetPredictor), then the exact simulator. A simulation is a
+//     pure function of (chip, program, options); the iterative
+//     pipelines re-simulate identical tuples constantly (the optimizer
+//     re-evaluates its baseline and builds structurally identical
+//     candidates, the model runner re-simulates operators it already
 //     weighed, balanced multicore splits run identical per-core
-//     slices). The cache keys on stable fingerprints — Chip.Fingerprint
-//     over the canonical JSON encoding and Program.Fingerprint over the
-//     instruction stream — and hands out deep copies so callers may
-//     mutate results freely.
+//     slices). The cache tiers key on stable fingerprints —
+//     Chip.Fingerprint over the canonical JSON encoding and
+//     Program.Fingerprint over the instruction stream — and hand out
+//     deep copies so callers may mutate results freely. The memory
+//     Cache, a concurrency-safe size-bounded LRU, also coalesces
+//     concurrent misses on one key: the first caller runs the lower
+//     tiers and the others wait for its result. Callers that accept a
+//     surrogate estimate share such flights only with each other, so
+//     an exact caller never receives an estimate. With the memory
+//     cache disabled (SetCacheCapacity(0)) every call runs the lower
+//     tiers itself.
 //
-// Worker count resolution: an explicit positive argument wins, then the
-// ASCENDPERF_WORKERS environment variable, then SetWorkers, then
+// Worker count resolution: an explicit positive argument wins, then
+// SetWorkers, then the ASCENDPERF_WORKERS environment variable, then
 // GOMAXPROCS.
 package engine
 

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
+	"ascendperf/internal/profile"
 	"ascendperf/internal/sim"
 )
 
@@ -255,6 +257,80 @@ func TestCacheStress(t *testing.T) {
 	}
 	if st.Entries > 8 {
 		t.Fatalf("capacity exceeded: %+v", st)
+	}
+}
+
+// TestCacheCoalescesConcurrentMisses: goroutines missing on one key at
+// once share a single simulation, and the callers that waited for it
+// count as hits.
+func TestCacheCoalescesConcurrentMisses(t *testing.T) {
+	defer SwapDiskCache(SwapDiskCache(nil))
+	chip := hw.TrainingChip()
+	// Long enough that every goroutine arrives while the first one is
+	// still simulating.
+	prog := &isa.Program{Name: "coalesce-misses"}
+	for i := 0; i < 4000; i++ {
+		prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 4096))
+	}
+	c := NewCache(64)
+	const goroutines = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	runs0 := sim.ReadCounters().Runs
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := c.Simulate(chip, prog, sim.Options{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if runs := sim.ReadCounters().Runs - runs0; runs != 1 {
+		t.Errorf("%d concurrent misses ran %d simulations, want 1", goroutines, runs)
+	}
+	if st := c.Stats(); st.Hits != goroutines-1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want %d hits 1 miss", st, goroutines-1)
+	}
+}
+
+// TestCacheFlightPanicReleasesWaiters: a flight leader that panics
+// must still release its waiters with an error and leave the key free,
+// or every later caller of that key would block forever.
+func TestCacheFlightPanicReleasesWaiters(t *testing.T) {
+	c := NewCache(4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		c.do("k", false, func() (*profile.Profile, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.do("k", false, func() (*profile.Profile, error) {
+			return nil, errors.New("waiter ran the lower tiers")
+		})
+		waiter <- err
+	}()
+	for c.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-waiter; !errors.Is(err, errFlightAborted) {
+		t.Fatalf("waiter of a panicked flight got %v, want errFlightAborted", err)
+	}
+	p, err := c.do("k", false, func() (*profile.Profile, error) {
+		return &profile.Profile{TotalTime: 1}, nil
+	})
+	if err != nil || p.TotalTime != 1 {
+		t.Fatalf("call after the panicked flight = %+v, %v", p, err)
 	}
 }
 

@@ -36,63 +36,26 @@ func SetPredictor(p Predictor) {
 	predictor.Store(&p)
 }
 
-// SimulateApprox is Simulate with the learned surrogate in the loop.
-// The lookup order is: memory cache, disk cache, surrogate predictor,
-// exact simulator. Exact results (cached or fresh) are always preferred
-// over predictions — the surrogate only answers genuine simulation
-// misses. Accepted predictions are returned with Profile.Approx set and
-// are never inserted into any cache tier, so caches serve exact results
-// only; gate rejections simulate exactly, populate the caches as usual
-// and feed the (features, exact) pair back to the predictor's training
-// log. Without an installed predictor it is exactly Simulate.
+// SimulateApprox is Simulate with the learned surrogate in the loop,
+// between the disk cache and the exact simulator. Exact results (cached
+// or fresh) are always preferred over predictions — the surrogate only
+// answers genuine simulation misses. Accepted predictions are returned
+// with Profile.Approx set and are never inserted into any cache tier,
+// so caches serve exact results only; gate rejections simulate
+// exactly, populate the caches as usual and feed the (features, exact)
+// pair back to the predictor's training log. Without an installed
+// predictor it is exactly Simulate.
 func SimulateApprox(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profile.Profile, error) {
-	pp := predictor.Load()
-	if pp == nil {
-		return Simulate(chip, prog, opts)
-	}
-	pred := *pp
-	if opts.KeepSpans {
-		// Span timelines need the real scheduler; not a surrogate case.
-		atomic.AddUint64(&Live.SurrogateFallback, 1)
-		return Simulate(chip, prog, opts)
-	}
-
-	c := defaultCache.Load()
-	d := diskCache.Load()
-	key, haveKey := cacheKey(chip, prog, opts)
-	if haveKey && c != nil {
-		if p := c.lookup(key); p != nil {
-			return p, nil
+	var pred Predictor
+	if pp := predictor.Load(); pp != nil {
+		if opts.KeepSpans {
+			// Span timelines need the real scheduler; not a surrogate case.
+			atomic.AddUint64(&Live.SurrogateFallback, 1)
+		} else {
+			pred = *pp
 		}
 	}
-	if haveKey && d != nil {
-		if p := d.load(key); p != nil {
-			if c != nil {
-				c.insert(key, p.Clone())
-			}
-			return p, nil
-		}
-	}
-
-	if p, ok := pred.Predict(chip, prog, opts); ok && p != nil {
-		atomic.AddUint64(&Live.SurrogatePredicted, 1)
-		return p, nil
-	}
-	atomic.AddUint64(&Live.SurrogateGated, 1)
-	atomic.AddUint64(&Live.SurrogateFallback, 1)
-
-	p, err := sim.RunOpts(chip, prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	if haveKey && c != nil {
-		c.insert(key, p.Clone())
-	}
-	if haveKey && d != nil {
-		d.store(key, p)
-	}
-	pred.RecordExact(chip, prog, p)
-	return p, nil
+	return simulate(defaultCache.Load(), chip, prog, opts, pred)
 }
 
 // PredictOnly asks the installed surrogate predictor for a gated

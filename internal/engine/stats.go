@@ -11,7 +11,7 @@ import (
 // the tags name it on every surface (see internal/stats, and the
 // FORMATS.md §8.4 table a test keeps in step with these tags).
 type Snapshot struct {
-	CacheHits      uint64  `json:"cache_hits" metric:"ascendd_engine_cache_hits_total" kind:"counter" help:"Memory simulation cache hits."`
+	CacheHits      uint64  `json:"cache_hits" metric:"ascendd_engine_cache_hits_total" kind:"counter" help:"Memory simulation cache hits, including lookups that joined an in-flight miss."`
 	CacheMisses    uint64  `json:"cache_misses" metric:"ascendd_engine_cache_misses_total" kind:"counter" help:"Memory simulation cache misses."`
 	CacheEvictions uint64  `json:"cache_evictions" metric:"ascendd_engine_cache_evictions_total" kind:"counter" help:"Memory simulation cache evictions."`
 	CacheEntries   int     `json:"cache_entries" metric:"ascendd_engine_cache_entries" kind:"gauge" help:"Memory simulation cache resident entries."`

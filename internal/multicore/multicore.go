@@ -141,8 +141,9 @@ func Run(chip *hw.Chip, k Partitionable, opts kernels.Options, cores int, shares
 		res.Shares[i] = float64(units[i]) / float64(total)
 	}
 	// The cores simulate in parallel on the engine pool. A balanced
-	// allocation gives every core an identical slice, so cores after
-	// the first hit the simulation cache.
+	// allocation gives every core an identical slice, which the engine
+	// simulates once: the other cores hit its cache or wait for that
+	// simulation.
 	profs, err := engine.ParallelMap(0, cores, func(i int) (*profile.Profile, error) {
 		if units[i] <= 0 {
 			return nil, nil

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
 	"ascendperf/internal/kernels"
+	"ascendperf/internal/sim"
 )
 
 func TestPerCoreChipSharesGMOnly(t *testing.T) {
@@ -30,13 +32,27 @@ func TestPerCoreChipSharesGMOnly(t *testing.T) {
 }
 
 // TestBalancedRun: an even split across 4 cores processes all units and
-// reports near-1 imbalance.
+// reports near-1 imbalance, and cores given identical slices share one
+// simulation even though they run in parallel.
 func TestBalancedRun(t *testing.T) {
+	defer engine.SetWorkers(0)
+	defer engine.SetCacheCapacity(engine.DefaultCacheCapacity)
+	defer engine.SwapDiskCache(engine.SwapDiskCache(nil))
+	engine.SetWorkers(4)
+	engine.SetCacheCapacity(engine.DefaultCacheCapacity)
 	chip := hw.TrainingChip()
 	k := kernels.NewLayerNorm() // well-pipelined, scales cleanly
+	runs0 := sim.ReadCounters().Runs
 	r, err := Run(chip, k, k.Baseline(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	slices := map[float64]bool{}
+	for _, share := range r.Shares {
+		slices[share] = true
+	}
+	if runs := sim.ReadCounters().Runs - runs0; runs != uint64(len(slices)) {
+		t.Errorf("4 cores with %d distinct slices ran %d simulations", len(slices), runs)
 	}
 	if r.Imbalance() > 1.1 {
 		t.Errorf("balanced imbalance = %.3f", r.Imbalance())

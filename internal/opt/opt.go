@@ -8,8 +8,6 @@ package opt
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ascendperf/internal/core"
 	"ascendperf/internal/engine"
@@ -146,38 +144,6 @@ type Optimizer struct {
 	// allocates one; a model.Runner shares its own so its ranking and
 	// unselected-operator passes reuse the optimizer's builds.
 	Builds *kernels.BuildMemo
-
-	// simMu guards simMemo, the structural-dedup layer of the candidate
-	// loop: distinct option sets frequently build byte-identical
-	// programs (a strategy that is a no-op at the current tile size, two
-	// strategies that commute), so simulations are memoized per program
-	// fingerprint. Entries carry a sync.Once so concurrent candidates in
-	// one ParallelMap fan-out coalesce onto a single simulation instead
-	// of racing duplicate work into the engine.
-	simMu   sync.Mutex
-	simMemo map[string]*simEntry
-}
-
-// simEntry is one fingerprint's memoized simulation.
-type simEntry struct {
-	once sync.Once
-	prof *profile.Profile
-	err  error
-}
-
-// Candidate-dedup counters, process-wide (mirrors the engine cache
-// counters): hits are simulations skipped because a structurally
-// identical candidate was already simulated by the same optimizer.
-var (
-	dedupHits   atomic.Uint64
-	dedupMisses atomic.Uint64
-)
-
-// DedupCounters returns the process-wide optimize-loop dedup counters:
-// structurally identical candidates skipped, and unique programs
-// simulated.
-func DedupCounters() (hits, misses uint64) {
-	return dedupHits.Load(), dedupMisses.Load()
 }
 
 // New returns an optimizer with default settings for the chip.
@@ -190,44 +156,19 @@ func New(chip *hw.Chip) *Optimizer {
 	}
 }
 
-// run builds and simulates one option set through the memoized engine:
-// re-evaluations of a configuration the loop has already simulated
-// (the baseline re-run of a model pass, the incoming point of a tile
-// sweep) are cache hits, and the build itself is memoized per
-// (kernel, options) so repeated evaluations skip program construction.
+// run builds and simulates one option set through the engine:
+// re-evaluations of a program the loop has already simulated (the
+// baseline re-run of a model pass, the incoming point of a tile sweep,
+// a structural duplicate built from distinct options) are engine cache
+// hits, or join the in-flight simulation when a parallel fan-out
+// builds it twice at once; the build itself is memoized per (kernel,
+// options) so repeated evaluations skip program construction.
 func (o *Optimizer) run(k kernels.Kernel, opts kernels.Options) (*profile.Profile, error) {
 	prog, err := o.Builds.Build(o.Chip, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	fp := prog.Fingerprint()
-	if fp == "" {
-		return engine.Simulate(o.Chip, prog, sim.Options{})
-	}
-	o.simMu.Lock()
-	e, hit := o.simMemo[fp]
-	if !hit {
-		if o.simMemo == nil {
-			o.simMemo = make(map[string]*simEntry)
-		}
-		e = &simEntry{}
-		o.simMemo[fp] = e
-	}
-	o.simMu.Unlock()
-	if hit {
-		dedupHits.Add(1)
-	} else {
-		dedupMisses.Add(1)
-	}
-	e.once.Do(func() {
-		e.prof, e.err = engine.Simulate(o.Chip, prog, sim.Options{})
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	// The memoized profile is shared between hits; callers get a
-	// private clone, matching engine.Simulate's contract.
-	return e.prof.Clone(), nil
+	return engine.Simulate(o.Chip, prog, sim.Options{})
 }
 
 // Optimize runs the analysis-optimization loop on a kernel from its

@@ -78,6 +78,20 @@ echo "== memory-retention gate (programs die with their owner, shared presets st
 # unchanged.
 go test -count=1 -run 'TestRunOptsDoesNotRetainProgram|TestRunnerDoesNotRetainBuilds|TestInlineSimulateHeapBounded|TestChipPresetsStayImmutable' ./internal/serve
 
+echo "== simulation-reuse gate (one simulation per concurrent miss, exact callers stay exact, flights outlive their leader) =="
+# Named explicitly, like the gates above, and repeated under the race
+# detector because each test races goroutines on purpose: concurrent
+# misses on one key must share one simulation, an optimize pass must
+# simulate each distinct program once, a balanced multicore split must
+# simulate its identical slice once, a panicking simulation must release
+# the callers waiting on it, an exact caller must never join an
+# estimate's flight, and a coalesced request must still be answered
+# after its flight's leader disconnects.
+go test -race -count=5 -run 'TestCacheCoalescesConcurrentMisses|TestCacheFlightPanicReleasesWaiters|TestExactCallerNeverGetsEstimate' ./internal/engine
+go test -race -count=5 -run 'TestOptimizeSimulatesEachProgramOnce' ./internal/opt
+go test -race -count=5 -run 'TestBalancedRun' ./internal/multicore
+go test -race -count=5 -run 'TestLeaderDisconnectKeepsFollowers' ./internal/serve
+
 echo "== fuzz (short budget) =="
 # A few seconds of coverage-guided fuzzing per target; long enough to
 # shake out parser/scheduler disagreements on mutated corpus programs,
