@@ -142,16 +142,31 @@ func TestParseRejections(t *testing.T) {
 	}
 }
 
-// FuzzParse: arbitrary text never panics; accepted programs survive a
-// disassemble/re-parse cycle.
+// FuzzParse: arbitrary text never panics; the production parser and
+// the scanner reference (parseref_test.go) accept the same inputs with
+// the same programs and reject the rest with identical errors; and an
+// accepted program survives a disassemble/re-parse cycle exactly, up
+// to the repeat default.
 func FuzzParse(f *testing.F) {
 	f.Add("copy GM->UB bytes=4096\nVector.FP16 ops=100 repeat=2")
 	f.Add("pipe_barrier(PIPE_ALL)")
 	f.Add("set_flag MTE-GM->Vector ev=1 ; x")
+	f.Add("0 copy GM->UB bytes=64 reads=GM[0:64),GM[128:192) writes=UB[0:64)\r\n\n; c\n1  Cube.FP16 ops=9 ; \u00d78")
+	f.Add("Cube.FP16\u00a0ops=1 repeat=0\nwait_flag Cube->Vector ev=2 x")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse("fuzz", strings.NewReader(src))
+		ref, refErr := refParse("fuzz", strings.NewReader(src))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("parser error %v, reference %v", err, refErr)
+		}
 		if err != nil {
+			if err.Error() != refErr.Error() {
+				t.Fatalf("parser error %q, reference %q", err, refErr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(prog.Instrs, ref.Instrs) {
+			t.Fatalf("parser and reference programs differ")
 		}
 		back, err := Parse("fuzz", strings.NewReader(prog.Disassemble()))
 		if err != nil {
@@ -159,6 +174,14 @@ func FuzzParse(f *testing.F) {
 		}
 		if back.Len() != prog.Len() {
 			t.Fatalf("re-parse changed length %d -> %d", prog.Len(), back.Len())
+		}
+		for i := range prog.Instrs {
+			a, b := prog.Instrs[i], back.Instrs[i]
+			a.Repeat = a.EffRepeat()
+			b.Repeat = b.EffRepeat()
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("instr %d changed on re-parse:\n  first  %+v\n  second %+v", i, a, b)
+			}
 		}
 	})
 }
