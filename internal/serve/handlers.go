@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strings"
 
 	"ascendperf/internal/core"
 	"ascendperf/internal/critpath"
@@ -25,9 +24,8 @@ import (
 // each. The service resolves presets only — unlike the CLIs it never
 // opens server-side files from request input. Every request on a preset
 // gets the same pointer, which hw.Chip's immutability makes safe, so
-// the per-chip memos (engine fingerprints, simulator chip tables,
-// program validation) hit across requests instead of filling up with
-// equal copies.
+// the per-chip memos (engine chip fingerprints, simulator chip tables)
+// hit across requests instead of filling up with equal copies.
 var chipPresets = map[string]*hw.Chip{
 	"training":  hw.TrainingChip(),
 	"inference": hw.InferenceChip(),
@@ -94,7 +92,7 @@ func buildProgram(chip *hw.Chip, req SimulateRequest) (*isa.Program, error) {
 		}
 		return prog, nil
 	default:
-		prog, err := isa.Parse("request", strings.NewReader(req.Program))
+		prog, err := isa.ParseString("request", req.Program)
 		if err != nil {
 			return nil, badRequest("parse program: %v", err)
 		}
