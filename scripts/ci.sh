@@ -100,12 +100,13 @@ echo "== fuzz (short budget) =="
 go test -run '^$' -fuzz FuzzVerifySchedule -fuzztime 10s -fuzzminimizetime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDiff -fuzztime 10s -fuzzminimizetime 5s ./internal/check
 go test -run '^$' -fuzz FuzzExtract -fuzztime 10s -fuzzminimizetime 5s ./internal/surrogate
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 5s ./internal/isa
 
 echo "== benchmark smoke =="
-# Compile and execute every scheduler/engine benchmark for one
-# iteration: catches benchmarks that no longer build or that fail at
-# runtime, without paying for a real measurement.
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate
+# Compile and execute every scheduler/engine/parser/critical-path
+# benchmark for one iteration: catches benchmarks that no longer build
+# or that fail at runtime, without paying for a real measurement.
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate ./internal/isa ./internal/critpath
 
 echo "== parallel scaling smoke =="
 # The engine worker sweep: ascendbench -json errors out by itself if
