@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -89,7 +88,5 @@ func NewGraph(s *graph.Schedule) *Document {
 
 // WriteGraph emits the graph timeline as JSON.
 func WriteGraph(w io.Writer, s *graph.Schedule) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(NewGraph(s))
+	return writeDocument(w, NewGraph(s))
 }

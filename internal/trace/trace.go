@@ -27,7 +27,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -228,9 +227,7 @@ func Write(w io.Writer, chip *hw.Chip, prog *isa.Program, p *profile.Profile, op
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return writeDocument(w, doc)
 }
 
 // tidOf maps a component to its track id. Thread ids start at 1; tid 0
