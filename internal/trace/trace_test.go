@@ -228,12 +228,16 @@ func TestTraceNeedsSpans(t *testing.T) {
 // validator.
 func TestValidateRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"not json":        `{"traceEvents":`,
-		"wrong schema":    `{"traceEvents":[{"ph":"i","pid":1,"tid":1,"ts":0,"name":"x"}],"otherData":{"schema":"nope"}}`,
-		"empty events":    `{"traceEvents":[],"otherData":{"schema":"` + SchemaTrace + `"}}`,
-		"missing pid":     `{"traceEvents":[{"ph":"X","tid":1,"ts":0,"dur":1,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
-		"missing dur":     `{"traceEvents":[{"ph":"X","pid":1,"tid":1,"ts":0,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
-		"unpaired flow":   `{"traceEvents":[{"ph":"s","pid":1,"tid":1,"ts":0,"id":7,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
+		"not json":      `{"traceEvents":`,
+		"wrong schema":  `{"traceEvents":[{"ph":"i","pid":1,"tid":1,"ts":0,"name":"x"}],"otherData":{"schema":"nope"}}`,
+		"empty events":  `{"traceEvents":[],"otherData":{"schema":"` + SchemaTrace + `"}}`,
+		"missing pid":   `{"traceEvents":[{"ph":"X","tid":1,"ts":0,"dur":1,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
+		"missing dur":   `{"traceEvents":[{"ph":"X","pid":1,"tid":1,"ts":0,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
+		"unpaired flow": `{"traceEvents":[{"ph":"s","pid":1,"tid":1,"ts":0,"id":7,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
+		"duplicate flow id": `{"traceEvents":[` +
+			`{"ph":"s","pid":1,"tid":1,"ts":0,"id":7,"name":"x"},{"ph":"f","bp":"e","pid":1,"tid":2,"ts":1,"id":7,"name":"x"},` +
+			`{"ph":"s","pid":1,"tid":1,"ts":2,"id":7,"name":"y"},{"ph":"f","bp":"e","pid":1,"tid":2,"ts":3,"id":7,"name":"y"}` +
+			`],"otherData":{"schema":"` + SchemaTrace + `"}}`,
 		"unnamed track":   `{"traceEvents":[{"ph":"X","pid":1,"tid":9,"ts":0,"dur":1,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
 		"bad flow bind":   `{"traceEvents":[{"ph":"f","pid":1,"tid":1,"ts":0,"id":7,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,
 		"unknown phase":   `{"traceEvents":[{"ph":"Q","pid":1,"tid":1,"ts":0,"name":"x"}],"otherData":{"schema":"` + SchemaTrace + `"}}`,

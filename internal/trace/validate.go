@@ -111,14 +111,13 @@ func Validate(r io.Reader) error {
 			return fmt.Errorf("trace: track tid=%g carries spans but has no thread_name", tid)
 		}
 	}
-	for id, n := range flowS {
-		if flowF[id] != n {
-			return fmt.Errorf("trace: flow id=%g has %d starts and %d finishes", id, n, flowF[id])
-		}
-	}
-	for id, n := range flowF {
-		if flowS[id] != n {
-			return fmt.Errorf("trace: flow id=%g has %d starts and %d finishes", id, flowS[id], n)
+	// Each id names one arrow: exactly one start and one finish.
+	// Comparing the counts alone would pass an id reused by two arrows.
+	for _, ids := range []map[float64]int{flowS, flowF} {
+		for id := range ids {
+			if flowS[id] != 1 || flowF[id] != 1 {
+				return fmt.Errorf("trace: flow id=%g has %d starts and %d finishes", id, flowS[id], flowF[id])
+			}
 		}
 	}
 	return nil
