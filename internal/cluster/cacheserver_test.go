@@ -19,18 +19,18 @@ func TestCacheServerRoundTrip(t *testing.T) {
 	defer srv.Close()
 	c := NewL2Client(srv.URL, 0)
 
-	if _, ok := c.Get("missing"); ok {
+	if _, ok := c.Get(digest("missing")); ok {
 		t.Fatal("hit on empty cache")
 	}
 	body := []byte(`{"total_time_ns": 123}`)
-	c.Put("model\x00{...}", body)
-	got, ok := c.Get("model\x00{...}")
+	c.Put(digest("model\x00{...}"), body)
+	got, ok := c.Get(digest("model\x00{...}"))
 	if !ok || string(got) != string(body) {
 		t.Fatalf("round trip: ok=%v body=%q", ok, got)
 	}
 	// Overwrite is last-writer-wins.
-	c.Put("model\x00{...}", []byte("v2"))
-	if got, _ := c.Get("model\x00{...}"); string(got) != "v2" {
+	c.Put(digest("model\x00{...}"), []byte("v2"))
+	if got, _ := c.Get(digest("model\x00{...}")); string(got) != "v2" {
 		t.Fatalf("overwrite lost: %q", got)
 	}
 	st := cs.Stats()
@@ -52,7 +52,7 @@ func TestCacheServerPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(first)
-	NewL2Client(srv.URL, 0).Put("k", []byte("persisted"))
+	NewL2Client(srv.URL, 0).Put(digest("k"), []byte("persisted"))
 	srv.Close()
 
 	second, err := NewCacheServer(dir, 0)
@@ -61,7 +61,7 @@ func TestCacheServerPersistence(t *testing.T) {
 	}
 	srv2 := httptest.NewServer(second)
 	defer srv2.Close()
-	got, ok := NewL2Client(srv2.URL, 0).Get("k")
+	got, ok := NewL2Client(srv2.URL, 0).Get(digest("k"))
 	if !ok || string(got) != "persisted" {
 		t.Fatalf("restart lost entry: ok=%v body=%q", ok, got)
 	}
@@ -92,10 +92,10 @@ func TestCacheServerRejectsBadKeys(t *testing.T) {
 // server degrades to misses and dropped stores, never errors.
 func TestCacheServerDeadTier(t *testing.T) {
 	c := NewL2Client("http://127.0.0.1:1", 0) // nothing listens on port 1
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get(digest("k")); ok {
 		t.Fatal("hit from dead tier")
 	}
-	c.Put("k", []byte("x")) // must not panic or block
+	c.Put(digest("k"), []byte("x")) // must not panic or block
 	if c.Errors() == 0 {
 		t.Error("dead tier produced no error counts")
 	}
@@ -137,7 +137,7 @@ func TestCacheServerEviction(t *testing.T) {
 	}
 
 	value := make([]byte, 1024)
-	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
+	key := func(i int) [32]byte { return digest(fmt.Sprintf("key-%03d", i)) }
 	// Fill to exactly the cap, then keep going: every completed PUT
 	// must leave the directory within budget.
 	for i := 0; i < 12; i++ {
@@ -169,7 +169,7 @@ func TestCacheServerEviction(t *testing.T) {
 	}
 
 	// A value larger than the whole cap is declined, not stored.
-	c.Put("oversized", make([]byte, cap+1))
+	c.Put(digest("oversized"), make([]byte, cap+1))
 	if got := dirSize(); got > cap {
 		t.Fatalf("oversized put pushed directory to %d bytes, cap %d", got, cap)
 	}
@@ -211,7 +211,7 @@ func TestCacheServerEvictionConcurrent(t *testing.T) {
 			c := NewL2Client(srv.URL, 0)
 			value := make([]byte, 512)
 			for i := 0; i < 16; i++ {
-				c.Put(fmt.Sprintf("w%d-i%d", w, i), value)
+				c.Put(digest(fmt.Sprintf("w%d-i%d", w, i)), value)
 			}
 		}(w)
 	}

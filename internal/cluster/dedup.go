@@ -32,18 +32,18 @@ type proxyCall struct {
 // per connection.
 type proxyFlights struct {
 	mu    sync.Mutex
-	calls map[string]*proxyCall
+	calls map[[32]byte]*proxyCall
 }
 
 // join returns the call for key and whether the caller is its leader.
-func (f *proxyFlights) join(key string) (*proxyCall, bool) {
+func (f *proxyFlights) join(key [32]byte) (*proxyCall, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.calls[key]; ok {
 		return c, false
 	}
 	if f.calls == nil {
-		f.calls = make(map[string]*proxyCall)
+		f.calls = make(map[[32]byte]*proxyCall)
 	}
 	c := &proxyCall{done: make(chan struct{})}
 	f.calls[key] = c
@@ -52,7 +52,7 @@ func (f *proxyFlights) join(key string) (*proxyCall, bool) {
 
 // finish publishes the leader's result and releases the key so later
 // identical requests start a fresh upstream call.
-func (f *proxyFlights) finish(key string, c *proxyCall, res *proxyResult) {
+func (f *proxyFlights) finish(key [32]byte, c *proxyCall, res *proxyResult) {
 	f.mu.Lock()
 	delete(f.calls, key)
 	f.mu.Unlock()

@@ -94,7 +94,7 @@ func TestCanonicalKeyMatchesServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	if k1 != k2 {
-		t.Errorf("equivalent bodies canonicalize differently:\n%q\n%q", k1, k2)
+		t.Errorf("equivalent bodies canonicalize differently:\n%x\n%x", k1, k2)
 	}
 	k3, err := serve.CanonicalKey("roofline", []byte(`{"chip":"training","op":"mul"}`))
 	if err != nil {

@@ -43,7 +43,7 @@ func (c *L2Client) Errors() uint64 { return c.errors.Load() }
 
 // Get fetches the body stored under key, reporting ok=false on miss or
 // any failure.
-func (c *L2Client) Get(key string) ([]byte, bool) {
+func (c *L2Client) Get(key [32]byte) ([]byte, bool) {
 	resp, err := c.client.Get(c.base + "/l2/" + WireKey(key))
 	if err != nil {
 		c.errors.Add(1)
@@ -63,7 +63,7 @@ func (c *L2Client) Get(key string) ([]byte, bool) {
 }
 
 // Put stores body under key; failures are counted and dropped.
-func (c *L2Client) Put(key string, body []byte) {
+func (c *L2Client) Put(key [32]byte, body []byte) {
 	req, err := http.NewRequest(http.MethodPut, c.base+"/l2/"+WireKey(key), bytes.NewReader(body))
 	if err != nil {
 		c.errors.Add(1)

@@ -22,13 +22,13 @@ import (
 	"sort"
 )
 
-// hash64 maps a string onto the ring's key space. SHA-256 (truncated to
-// 64 bits) rather than a fast non-cryptographic hash: ring placement is
-// computed once per request and once per virtual node, and the uniform
+// position maps a SHA-256 digest onto the ring's key space: its first
+// 8 bytes, big-endian. Requests arrive already digested (the canonical
+// key, FORMATS.md §9.2); virtual nodes are digests of "node#replica".
+// SHA-256 rather than a fast non-cryptographic hash because the uniform
 // distribution is what the ring's balance bounds rest on.
-func hash64(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
-	return binary.BigEndian.Uint64(sum[:8])
+func position(digest [32]byte) uint64 {
+	return binary.BigEndian.Uint64(digest[:8])
 }
 
 // Ring is a consistent-hash ring with virtual-node replication. Each
@@ -78,7 +78,7 @@ func NewRing(nodes []string, replicas int) (*Ring, error) {
 	for i, n := range r.nodes {
 		for v := 0; v < replicas; v++ {
 			r.points = append(r.points, ringPoint{
-				hash: hash64(fmt.Sprintf("%s#%d", n, v)),
+				hash: position(sha256.Sum256([]byte(fmt.Sprintf("%s#%d", n, v)))),
 				node: i,
 			})
 		}
@@ -91,9 +91,9 @@ func NewRing(nodes []string, replicas int) (*Ring, error) {
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // start returns the index of the first ring point at or clockwise of
-// key's hash.
-func (r *Ring) start(key string) int {
-	h := hash64(key)
+// key's position.
+func (r *Ring) start(key [32]byte) int {
+	h := position(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -101,8 +101,8 @@ func (r *Ring) start(key string) int {
 	return i
 }
 
-// Owner returns the node that owns key.
-func (r *Ring) Owner(key string) string {
+// Owner returns the node that owns key, a request digest.
+func (r *Ring) Owner(key [32]byte) string {
 	return r.nodes[r.points[r.start(key)].node]
 }
 
@@ -111,7 +111,7 @@ func (r *Ring) Owner(key string) string {
 // first and, on failure, the next distinct node — which is exactly the
 // node that would own the key if the first were removed from the ring,
 // so retried traffic lands where a rebuilt ring would send it anyway.
-func (r *Ring) Sequence(key string) []string {
+func (r *Ring) Sequence(key [32]byte) []string {
 	out := make([]string, 0, len(r.nodes))
 	seen := make([]bool, len(r.nodes))
 	for i, n := r.start(key), 0; n < len(r.points); i, n = (i+1)%len(r.points), n+1 {

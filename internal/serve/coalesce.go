@@ -16,7 +16,7 @@ import (
 // one simulation no matter how wide the burst is.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[[32]byte]*flightCall
 
 	// leaders counts executions started, followers calls that attached
 	// to an existing execution. Guarded by mu.
@@ -32,7 +32,7 @@ type flightCall struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flightCall)}
+	return &flightGroup{m: make(map[[32]byte]*flightCall)}
 }
 
 // Stats returns the leader/follower counters.
@@ -53,7 +53,7 @@ func (g *flightGroup) Stats() (leaders, followers uint64) {
 // must return a value that is safe to read concurrently (the handlers
 // return encoded bytes or freshly built response structs that callers
 // only serialize).
-func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)) (val any, shared bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, key [32]byte, fn func() (any, error)) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
 		g.followers++

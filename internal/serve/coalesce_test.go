@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.Do(context.Background(), "k", func() (any, error) {
+			v, shared, err := g.Do(context.Background(), testKey("k"), func() (any, error) {
 				runs.Add(1)
 				<-gate
 				return "result", nil
@@ -91,7 +92,7 @@ func TestFlightGroupDistinctKeys(t *testing.T) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			if _, _, err := g.Do(context.Background(), key, func() (any, error) {
+			if _, _, err := g.Do(context.Background(), testKey(key), func() (any, error) {
 				runs.Add(1)
 				return key, nil
 			}); err != nil {
@@ -111,7 +112,7 @@ func TestFlightGroupFollowerHonoursContext(t *testing.T) {
 	defer close(gate)
 
 	started := make(chan struct{})
-	go g.Do(context.Background(), "k", func() (any, error) {
+	go g.Do(context.Background(), testKey("k"), func() (any, error) {
 		close(started)
 		<-gate
 		return nil, nil
@@ -125,7 +126,7 @@ func TestFlightGroupFollowerHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, shared, err := g.Do(ctx, "k", func() (any, error) { return nil, nil })
+		_, shared, err := g.Do(ctx, testKey("k"), func() (any, error) { return nil, nil })
 		if !shared {
 			t.Error("cancelled follower not marked shared")
 		}
@@ -143,14 +144,14 @@ func TestFlightGroupFollowerHonoursContext(t *testing.T) {
 
 func TestFlightGroupPanicBecomesError(t *testing.T) {
 	g := newFlightGroup()
-	_, _, err := g.Do(context.Background(), "k", func() (any, error) {
+	_, _, err := g.Do(context.Background(), testKey("k"), func() (any, error) {
 		panic("boom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "handler panic") {
 		t.Fatalf("panic surfaced as %v", err)
 	}
 	// The flight must be cleaned up: a later call runs fresh.
-	v, shared, err := g.Do(context.Background(), "k", func() (any, error) {
+	v, shared, err := g.Do(context.Background(), testKey("k"), func() (any, error) {
 		return "fine", nil
 	})
 	if err != nil || shared || v.(string) != "fine" {
@@ -197,3 +198,6 @@ func TestAdmissionTimeout(t *testing.T) {
 	}
 	a.release()
 }
+
+// testKey is a request key for tests that name flights by string.
+func testKey(s string) [32]byte { return sha256.Sum256([]byte(s)) }

@@ -6,7 +6,7 @@ import (
 )
 
 // respCache is the response-level LRU: encoded 200 bodies keyed by the
-// canonical request key. Every analysis endpoint is a pure function of
+// canonical request digest. Every analysis endpoint is a pure function of
 // its canonicalized request (simulation is deterministic), so a repeat
 // of a completed request can skip parsing the engine entirely — the
 // engine cache below still pays for re-analysis (Runner traversal,
@@ -16,14 +16,14 @@ import (
 type respCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element
+	entries map[[32]byte]*list.Element
 	order   *list.List // front = most recent
 	hits    uint64
 	misses  uint64
 }
 
 type respEntry struct {
-	key  string
+	key  [32]byte
 	body []byte
 }
 
@@ -32,14 +32,14 @@ type respEntry struct {
 func newRespCache(capacity int) *respCache {
 	return &respCache{
 		cap:     capacity,
-		entries: make(map[string]*list.Element),
+		entries: make(map[[32]byte]*list.Element),
 		order:   list.New(),
 	}
 }
 
 // get returns the cached body for key. The stored slice is returned
 // directly — callers only ever write it to a ResponseWriter.
-func (c *respCache) get(key string) ([]byte, bool) {
+func (c *respCache) get(key [32]byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap < 1 {
@@ -57,7 +57,7 @@ func (c *respCache) get(key string) ([]byte, bool) {
 
 // put stores a successful response body, evicting the least recently
 // used entry beyond capacity.
-func (c *respCache) put(key string, body []byte) {
+func (c *respCache) put(key [32]byte, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap < 1 {
