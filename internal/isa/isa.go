@@ -171,8 +171,20 @@ func (in *Instr) String() string {
 	switch in.Kind {
 	case KindCompute:
 		fmt.Fprintf(&b, "%s.%s ops=%d repeat=%d", in.Unit, in.Prec, in.Ops, in.EffRepeat())
+		// The parser accepts every numeric field on both kinds; write
+		// back any that changes the instruction, so a disassembly
+		// re-parses to the same program.
+		if in.Bytes != 0 {
+			fmt.Fprintf(&b, " bytes=%d", in.Bytes)
+		}
 	case KindTransfer:
 		fmt.Fprintf(&b, "copy %s bytes=%d", in.Path, in.Bytes)
+		if in.Ops != 0 {
+			fmt.Fprintf(&b, " ops=%d", in.Ops)
+		}
+		if in.Repeat > 1 {
+			fmt.Fprintf(&b, " repeat=%d", in.Repeat)
+		}
 	case KindSetFlag:
 		fmt.Fprintf(&b, "set_flag %s->%s ev=%d", in.From, in.To, in.EventID)
 	case KindWaitFlag:

@@ -153,6 +153,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("set_flag MTE-GM->Vector ev=1 ; x")
 	f.Add("0 copy GM->UB bytes=64 reads=GM[0:64),GM[128:192) writes=UB[0:64)\r\n\n; c\n1  Cube.FP16 ops=9 ; \u00d78")
 	f.Add("Cube.FP16\u00a0ops=1 repeat=0\nwait_flag Cube->Vector ev=2 x")
+	// Fields the parser accepts on the other kind must survive re-parse.
+	f.Add("copy GM->UB bytes=8 repeat=3\nVector.FP16 ops=1 bytes=7")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse("fuzz", strings.NewReader(src))
 		ref, refErr := refParse("fuzz", strings.NewReader(src))
