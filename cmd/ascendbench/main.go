@@ -174,9 +174,11 @@ func main() {
 // fingerprint memo is gone; the engine cache coalesces concurrent
 // misses instead, so the candidates it used to absorb now count in
 // optimize_cache_hits.
+//
+// Schema v7: the shared BENCH header (cliutil.BenchHeader) adds cores,
+// gomaxprocs, seed (always 0: the workload is fixed) and command.
 type engineBench struct {
-	Schema          string  `json:"schema"`
-	Chip            string  `json:"chip"`
+	cliutil.BenchHeader
 	Workloads       int     `json:"workloads"`
 	Operators       int     `json:"operators"`
 	Workers         int     `json:"workers"`
@@ -280,9 +282,8 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	}
 
 	rec := engineBench{
-		Schema:    "ascendperf/bench-engine/v6",
-		Chip:      chip.Name,
-		Workloads: len(models),
+		BenchHeader: cliutil.NewBenchHeader("ascendperf/bench-engine/v7", chip.Name, 0),
+		Workloads:   len(models),
 	}
 	for _, m := range models {
 		rec.Operators += len(m.Ops)

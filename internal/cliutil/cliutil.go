@@ -1,11 +1,12 @@
 // Package cliutil holds the small helpers shared by the command-line
-// tools: chip resolution (preset name or spec file), model lookup and
-// build identification.
+// tools: chip resolution (preset name or spec file), model lookup,
+// build identification and the header of every committed BENCH file.
 package cliutil
 
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -87,4 +88,32 @@ func ModelByName(name string) (*model.Model, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown model %q", name)
+}
+
+// BenchHeader opens every committed BENCH_*.json record: which format,
+// which chip, how much machine and which command produced the numbers,
+// so a figure is never read without the core count it was measured on.
+type BenchHeader struct {
+	Schema string `json:"schema"`
+	Chip   string `json:"chip"`
+	// Cores is runtime.NumCPU: the CPUs this process may run on, the
+	// count nproc prints.
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Seed       uint64 `json:"seed"`
+	// Command is the invocation, program name without its directory.
+	Command string `json:"command"`
+}
+
+// NewBenchHeader fills a header for this process.
+func NewBenchHeader(schema, chip string, seed uint64) BenchHeader {
+	args := append([]string{filepath.Base(os.Args[0])}, os.Args[1:]...)
+	return BenchHeader{
+		Schema:     schema,
+		Chip:       chip,
+		Cores:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Seed:       seed,
+		Command:    strings.Join(args, " "),
+	}
 }

@@ -70,3 +70,17 @@ func TestBuildInfo(t *testing.T) {
 		t.Errorf("missing go version: %q", s)
 	}
 }
+
+func TestNewBenchHeader(t *testing.T) {
+	h := NewBenchHeader("ascendperf/x/v1", "training", 7)
+	if h.Schema != "ascendperf/x/v1" || h.Chip != "training" || h.Seed != 7 {
+		t.Errorf("header = %+v", h)
+	}
+	if h.Cores != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("cores %d, GOMAXPROCS %d; want %d, %d", h.Cores, h.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	// The command names the program without the directory it ran from.
+	if prog := filepath.Base(os.Args[0]); !strings.HasPrefix(h.Command, prog) {
+		t.Errorf("command %q, want it to start with %q", h.Command, prog)
+	}
+}

@@ -10,9 +10,9 @@
 //     cache consulted on local-LRU miss, so a cold key simulates once
 //     cluster-wide and a restarted (or failed-over) shard warm-starts
 //     from its peers' work;
-//   - a deterministic Zipf sampler and the cluster load driver
-//     (RunClusterLoad) measure the whole thing — BENCH_cluster.json,
-//     FORMATS.md §9.
+//   - a deterministic Zipf sampler and the load driver (Run) measure
+//     a running daemon or router, or spawned clusters of it:
+//     BENCH_serve.json and BENCH_cluster.json, FORMATS.md §8.5.
 package cluster
 
 import (
