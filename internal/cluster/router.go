@@ -53,12 +53,10 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// maxProxyBody bounds buffered request bodies (mirrors the shard's own
-// limit) and proxied response bodies (traces run to tens of MB).
-const (
-	maxProxyRequest  = 4 << 20
-	maxProxyResponse = 64 << 20
-)
+// maxProxyResponse bounds buffered proxied response bodies (traces run
+// to tens of MB). Request bodies are read under the shard's own limit
+// (serve.ReadBody).
+const maxProxyResponse = 64 << 20
 
 // Router is the cluster frontend: it canonicalizes analysis requests
 // with the exact normalization the shards use, consistent-hashes the
@@ -197,9 +195,16 @@ func (rt *Router) analysisProxy(endpoint string) http.HandlerFunc {
 			writeEnvelope(w, http.StatusMethodNotAllowed, "bad_request", "POST required")
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyRequest))
+		body, err := serve.ReadBody(w, r)
 		if err != nil {
 			writeEnvelope(w, http.StatusBadRequest, "bad_request", "read body: %v", err)
+			return
+		}
+		// The shard would fold the query into the body before keying
+		// it; fold it here, so the key covers it and the folded body
+		// forwards it.
+		if body, err = serve.FoldQuery(endpoint, body, r.URL.Query()); err != nil {
+			writeEnvelope(w, http.StatusBadRequest, "bad_request", "%v", err)
 			return
 		}
 		// Canonicalize with the shards' own normalization so equal

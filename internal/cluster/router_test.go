@@ -1,14 +1,18 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ascendperf/internal/serve"
 )
 
 // fakeShard is a minimal ascendd stand-in: /readyz plus analysis
@@ -313,5 +317,64 @@ func TestProxyFailoverReplaysBody(t *testing.T) {
 	replayed, _ := got.Load().(string)
 	if replayed != body {
 		t.Fatalf("surviving backend saw %d bytes, want the full %d-byte body", len(replayed), len(body))
+	}
+}
+
+// TestRouterForwardsSearchQuery: /v1/optimize's search query reaches
+// the shard through the router, and keys apart from the plain body, so
+// a search request is neither answered greedily nor deduplicated onto a
+// greedy one.
+func TestRouterForwardsSearchQuery(t *testing.T) {
+	shard := httptest.NewServer(serve.New(serve.Config{}))
+	defer shard.Close()
+	rt := newTestRouter(t, []string{shard.URL})
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	const body = `{"chip":"training","op":"add_relu"}`
+	query := url.Values{"search": {"1"}, "beam": {"2"}}
+	for _, tc := range []struct {
+		query      string
+		wantSearch bool
+	}{{"", false}, {"?" + query.Encode(), true}} {
+		resp := post(t, front.Client(), front.URL+"/v1/optimize"+tc.query, body)
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("optimize%s: HTTP %d: %s", tc.query, resp.StatusCode, data)
+		}
+		var out serve.OptimizeResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if (out.Search != nil) != tc.wantSearch {
+			t.Errorf("optimize%s: search block present %v, want %v", tc.query, out.Search != nil, tc.wantSearch)
+		}
+	}
+
+	folded, err := serve.FoldQuery("optimize", []byte(body), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainKey, err := serve.CanonicalKey("optimize", []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	searchKey, err := serve.CanonicalKey("optimize", folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainKey == searchKey {
+		t.Error("search and plain optimize requests share a key")
+	}
+
+	resp := post(t, front.Client(), front.URL+"/v1/optimize?beam=wide", body)
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), `"code":"bad_request"`) {
+		t.Errorf("bad search query: HTTP %d %s, want the 400 bad_request envelope", resp.StatusCode, data)
 	}
 }

@@ -150,104 +150,100 @@ func encode(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// parseSimulate handles POST /v1/simulate.
-func parseSimulate(body []byte) (*parsedRequest, error) {
-	var req SimulateRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
-	return &parsedRequest{
-		canon: req,
-		run: func() ([]byte, bool, error) {
-			chip, err := chipByPreset(req.Chip)
-			if err != nil {
-				return nil, false, err
-			}
-			prog, err := buildProgram(chip, req)
-			if err != nil {
-				return nil, false, err
-			}
-			// Simulate is the one surrogate-eligible endpoint: a
-			// configured predictor may answer with a learned estimate
-			// (p.Approx) instead of an exact simulation. Approx bodies
-			// bypass the response and L2 caches upstream.
-			p, err := engine.SimulateApprox(chip, prog, sim.Options{DisableHazards: req.DisableHazards})
-			if err != nil {
-				return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
-			}
-			resp := SimulateResponse{Name: p.Name, Chip: chip.Name, TotalTimeNS: p.TotalTime, Approx: p.Approx}
-			for c := 0; c < int(hw.NumComponents); c++ {
-				if p.Busy[c] == 0 && p.InstrCount[c] == 0 {
-					continue
+// simulateParser returns the parser of an endpoint that takes a
+// SimulateRequest (simulate, roofline and trace): one decoder gives the
+// request and its key, and run answers it on the resolved chip preset.
+func simulateParser(run func(chip *hw.Chip, req SimulateRequest) ([]byte, bool, error)) parser {
+	return func(endpoint string, body []byte) (*parsedRequest, error) {
+		req, key, err := decodeSimulateRequest(endpoint, body)
+		if err != nil {
+			return nil, err
+		}
+		return &parsedRequest{
+			key: key,
+			run: func() ([]byte, bool, error) {
+				chip, err := chipByPreset(req.Chip)
+				if err != nil {
+					return nil, false, err
 				}
-				resp.Components = append(resp.Components, ComponentTime{
-					Component: hw.Component(c).String(),
-					BusyNS:    p.Busy[c],
-					Instrs:    p.InstrCount[c],
-				})
-			}
-			b, err := encode(resp)
-			return b, p.Approx, err
-		},
-	}, nil
+				return run(chip, req)
+			},
+		}, nil
+	}
 }
 
-// parseRoofline handles POST /v1/roofline.
-func parseRoofline(body []byte) (*parsedRequest, error) {
-	var req RooflineRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
+// runSimulate answers POST /v1/simulate.
+func runSimulate(chip *hw.Chip, req SimulateRequest) ([]byte, bool, error) {
+	prog, err := buildProgram(chip, req)
+	if err != nil {
+		return nil, false, err
 	}
-	return &parsedRequest{
-		canon: req,
-		run: func() ([]byte, bool, error) {
-			chip, err := chipByPreset(req.Chip)
-			if err != nil {
-				return nil, false, err
-			}
-			_, p, err := simulateFor(chip, req, false)
-			if err != nil {
-				return nil, false, err
-			}
-			a := core.Analyze(p, chip, core.DefaultThresholds())
-			resp := RooflineResponse{
-				Name:         a.Name,
-				Chip:         chip.Name,
-				TotalTimeNS:  a.TotalTime,
-				Cause:        a.Cause.String(),
-				CauseAbbrev:  a.Cause.Abbrev(),
-				MaxUtil:      a.MaxUtil,
-				MaxUtilComp:  a.MaxUtilComp.String(),
-				MaxRatio:     a.MaxRatio,
-				MaxRatioComp: a.MaxRatioComp.String(),
-				HeadroomX:    a.Headroom(),
-			}
-			switch a.Cause {
-			case core.CauseComputeBound, core.CauseMTEBound:
-				resp.Bound = a.Bound.String()
-			case core.CauseInefficientCompute, core.CauseInefficientMTE:
-				resp.Culprit = a.Culprit.String()
-			}
-			for _, st := range a.Components {
-				resp.Components = append(resp.Components, ComponentRoofline{
-					Component:   st.Comp.String(),
-					Work:        st.Work,
-					BusyNS:      st.BusyTime,
-					IdealNS:     st.IdealTime,
-					Actual:      st.Actual,
-					Ideal:       st.Ideal,
-					Utilization: st.Utilization,
-					TimeRatio:   st.TimeRatio,
-				})
-			}
-			b, err := encode(resp)
-			return b, false, err
-		},
-	}, nil
+	// Simulate is the one surrogate-eligible endpoint: a configured
+	// predictor may answer with a learned estimate (p.Approx) instead of
+	// an exact simulation. Approx bodies bypass the response and L2
+	// caches upstream.
+	p, err := engine.SimulateApprox(chip, prog, sim.Options{DisableHazards: req.DisableHazards})
+	if err != nil {
+		return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
+	}
+	resp := SimulateResponse{Name: p.Name, Chip: chip.Name, TotalTimeNS: p.TotalTime, Approx: p.Approx}
+	for c := 0; c < int(hw.NumComponents); c++ {
+		if p.Busy[c] == 0 && p.InstrCount[c] == 0 {
+			continue
+		}
+		resp.Components = append(resp.Components, ComponentTime{
+			Component: hw.Component(c).String(),
+			BusyNS:    p.Busy[c],
+			Instrs:    p.InstrCount[c],
+		})
+	}
+	b, err := encode(resp)
+	return b, p.Approx, err
+}
+
+// runRoofline answers POST /v1/roofline.
+func runRoofline(chip *hw.Chip, req RooflineRequest) ([]byte, bool, error) {
+	_, p, err := simulateFor(chip, req, false)
+	if err != nil {
+		return nil, false, err
+	}
+	a := core.Analyze(p, chip, core.DefaultThresholds())
+	resp := RooflineResponse{
+		Name:         a.Name,
+		Chip:         chip.Name,
+		TotalTimeNS:  a.TotalTime,
+		Cause:        a.Cause.String(),
+		CauseAbbrev:  a.Cause.Abbrev(),
+		MaxUtil:      a.MaxUtil,
+		MaxUtilComp:  a.MaxUtilComp.String(),
+		MaxRatio:     a.MaxRatio,
+		MaxRatioComp: a.MaxRatioComp.String(),
+		HeadroomX:    a.Headroom(),
+	}
+	switch a.Cause {
+	case core.CauseComputeBound, core.CauseMTEBound:
+		resp.Bound = a.Bound.String()
+	case core.CauseInefficientCompute, core.CauseInefficientMTE:
+		resp.Culprit = a.Culprit.String()
+	}
+	for _, st := range a.Components {
+		resp.Components = append(resp.Components, ComponentRoofline{
+			Component:   st.Comp.String(),
+			Work:        st.Work,
+			BusyNS:      st.BusyTime,
+			IdealNS:     st.IdealTime,
+			Actual:      st.Actual,
+			Ideal:       st.Ideal,
+			Utilization: st.Utilization,
+			TimeRatio:   st.TimeRatio,
+		})
+	}
+	b, err := encode(resp)
+	return b, false, err
 }
 
 // parseOptimize handles POST /v1/optimize.
-func parseOptimize(body []byte) (*parsedRequest, error) {
+func parseOptimize(endpoint string, body []byte) (*parsedRequest, error) {
 	var req OptimizeRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
@@ -256,7 +252,7 @@ func parseOptimize(body []byte) (*parsedRequest, error) {
 		return nil, badRequest("op is required")
 	}
 	return &parsedRequest{
-		canon: req,
+		key: requestKey(endpoint, req),
 		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
@@ -314,41 +310,28 @@ func parseOptimize(body []byte) (*parsedRequest, error) {
 	}, nil
 }
 
-// parseTrace handles POST /v1/trace: the body of a 200 response is the
+// runTrace answers POST /v1/trace: the body of a 200 response is the
 // FORMATS.md §6 Perfetto trace document with the critical path
 // highlighted, ready to load in chrome://tracing.
-func parseTrace(body []byte) (*parsedRequest, error) {
-	var req TraceRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
+func runTrace(chip *hw.Chip, req TraceRequest) ([]byte, bool, error) {
+	prog, p, err := simulateFor(chip, req, true)
+	if err != nil {
+		return nil, false, err
 	}
-	return &parsedRequest{
-		canon: req,
-		run: func() ([]byte, bool, error) {
-			chip, err := chipByPreset(req.Chip)
-			if err != nil {
-				return nil, false, err
-			}
-			prog, p, err := simulateFor(chip, req, true)
-			if err != nil {
-				return nil, false, err
-			}
-			cp, err := critpath.Compute(chip, prog, p)
-			if err != nil {
-				return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
-			}
-			var buf bytes.Buffer
-			if err := trace.Write(&buf, chip, prog, p, trace.Options{CritPath: cp}); err != nil {
-				return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
-			}
-			return buf.Bytes(), false, nil
-		},
-	}, nil
+	cp, err := critpath.Compute(chip, prog, p)
+	if err != nil {
+		return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, chip, prog, p, trace.Options{CritPath: cp}); err != nil {
+		return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
+	}
+	return buf.Bytes(), false, nil
 }
 
 // parseModel handles POST /v1/model: a whole-workload run, the service
 // form of `ascendopt -model` / `-workload`.
-func parseModel(body []byte) (*parsedRequest, error) {
+func parseModel(endpoint string, body []byte) (*parsedRequest, error) {
 	var req ModelRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
@@ -360,7 +343,7 @@ func parseModel(body []byte) (*parsedRequest, error) {
 		return nil, badRequest("one of model or workload is required")
 	}
 	return &parsedRequest{
-		canon: req,
+		key: requestKey(endpoint, req),
 		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
@@ -438,7 +421,7 @@ func resolveModel(name string, workload json.RawMessage) (*model.Model, error) {
 // parseGraph handles POST /v1/graph: whole-graph multi-core
 // scheduling, the service form of `ascendgraph -json`. The 200
 // response body is the graph-report/v1 document (FORMATS.md §12).
-func parseGraph(body []byte) (*parsedRequest, error) {
+func parseGraph(endpoint string, body []byte) (*parsedRequest, error) {
 	var req GraphRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
@@ -455,7 +438,7 @@ func parseGraph(body []byte) (*parsedRequest, error) {
 		req.Cores = 4
 	}
 	return &parsedRequest{
-		canon: req,
+		key: requestKey(endpoint, req),
 		run: func() ([]byte, bool, error) {
 			chip, err := chipByPreset(req.Chip)
 			if err != nil {
@@ -482,11 +465,11 @@ func parseGraph(body []byte) (*parsedRequest, error) {
 // parsers. New registers each as a POST handler under /v1/<name>, and
 // CanonicalKey dispatches through the same table, so a cluster router
 // canonicalizes request bodies exactly as the shard it routes them to.
-var analysisParsers = map[string]func(body []byte) (*parsedRequest, error){
-	"simulate": parseSimulate,
-	"roofline": parseRoofline,
+var analysisParsers = map[string]parser{
+	"simulate": simulateParser(runSimulate),
+	"roofline": simulateParser(runRoofline),
 	"optimize": parseOptimize,
-	"trace":    parseTrace,
+	"trace":    simulateParser(runTrace),
 	"model":    parseModel,
 	"graph":    parseGraph,
 }

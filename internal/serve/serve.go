@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -119,70 +120,82 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/models", s.handleModels)
 	s.mux.HandleFunc("/v1/chips", s.handleChips)
 	for name, parse := range analysisParsers {
-		h := s.analysis(name, parse)
-		if name == "optimize" {
-			h = mergeSearchQuery(h)
-		}
-		s.mux.HandleFunc("/v1/"+name, h)
+		s.mux.HandleFunc("/v1/"+name, s.analysis(name, parse))
 	}
 	return s
 }
 
-// mergeSearchQuery folds /v1/optimize's search query parameters
-// (?search=1&beam=N&budget=M) into the JSON body before the analysis
-// wrapper reads it, so the coalescing key — computed from the body
-// alone, here and in the cluster router — covers the search mode.
-func mergeSearchQuery(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		if q.Get("search") == "" && q.Get("beam") == "" && q.Get("budget") == "" {
-			next(w, r)
-			return
+// FoldQuery returns the body an analysis endpoint parses. For optimize
+// it folds the search query parameters (?search=1&beam=N&budget=M) into
+// the JSON body, so the request key — computed from the body alone, in
+// the shard and in the cluster router — covers the search mode; every
+// other endpoint takes no query parameters and gets body unchanged. A
+// body that is not a JSON object, or a parameter that is not a boolean
+// or integer, is a bad_request error.
+func FoldQuery(endpoint string, body []byte, query url.Values) ([]byte, error) {
+	if endpoint != "optimize" || query.Get("search") == "" && query.Get("beam") == "" && query.Get("budget") == "" {
+		return body, nil
+	}
+	merged := map[string]json.RawMessage{}
+	if len(bytes.TrimSpace(body)) > 0 {
+		if err := json.Unmarshal(body, &merged); err != nil {
+			return nil, badRequest("body is not a JSON object: %v", err)
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err != nil {
-			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		merged := map[string]json.RawMessage{}
-		if len(bytes.TrimSpace(body)) > 0 {
-			if err := json.Unmarshal(body, &merged); err != nil {
-				http.Error(w, "body is not a JSON object: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		set := func(key, val string, numeric bool) bool {
-			if val == "" {
-				return true
-			}
-			if numeric {
-				if _, err := strconv.Atoi(val); err != nil {
-					return false
-				}
-				merged[key] = json.RawMessage(val)
-				return true
-			}
-			on, err := strconv.ParseBool(val)
-			if err != nil {
-				return false
-			}
-			merged[key] = json.RawMessage(strconv.FormatBool(on))
+	}
+	set := func(key, val string, numeric bool) bool {
+		if val == "" {
 			return true
 		}
-		if !set("search", q.Get("search"), false) ||
-			!set("beam", q.Get("beam"), true) ||
-			!set("budget", q.Get("budget"), true) {
-			http.Error(w, "search/beam/budget query parameters must be boolean/integer", http.StatusBadRequest)
-			return
+		if numeric {
+			if _, err := strconv.Atoi(val); err != nil {
+				return false
+			}
+			merged[key] = json.RawMessage(val)
+			return true
 		}
-		out, err := json.Marshal(merged)
+		on, err := strconv.ParseBool(val)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return false
 		}
-		r.Body = io.NopCloser(bytes.NewReader(out))
-		r.ContentLength = int64(len(out))
-		next(w, r)
+		merged[key] = json.RawMessage(strconv.FormatBool(on))
+		return true
+	}
+	if !set("search", query.Get("search"), false) ||
+		!set("beam", query.Get("beam"), true) ||
+		!set("budget", query.Get("budget"), true) {
+		return nil, badRequest("search/beam/budget query parameters must be boolean/integer")
+	}
+	// Every value in merged is valid JSON, decoded or built above, so
+	// the map always encodes.
+	out, _ := json.Marshal(merged)
+	return out, nil
+}
+
+// ReadBody reads a request body of at most the size every analysis
+// endpoint accepts into one buffer, presized from Content-Length when
+// the client sent one: a large inline program is read without the
+// repeated doubling of io.ReadAll. A Content-Length that understates the
+// body only costs a regrowth; one that overstates it, or exceeds the
+// limit, presizes no more than the limit allows.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxBodyBytes) + 1 // +1: room to read EOF without growing
+	}
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -203,11 +216,11 @@ func CanonicalKey(endpoint string, body []byte) ([32]byte, error) {
 	if !ok {
 		return [32]byte{}, fmt.Errorf("serve: unknown analysis endpoint %q", endpoint)
 	}
-	preq, err := parse(body)
+	preq, err := parse(endpoint, body)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return requestKey(endpoint, preq.canon), nil
+	return preq.key, nil
 }
 
 // Handler returns the service's HTTP handler.
@@ -279,17 +292,20 @@ func (g *inflightGauge) Wait() {
 	g.mu.Unlock()
 }
 
-// parsedRequest is a validated analysis request: the decoded request in
-// its canonical form, which requestKey digests into the coalescing and
-// cache key, plus the work closure. run returns the already-encoded
+// parsedRequest is a validated analysis request: its key, the digest of
+// its canonical form (FORMATS.md §9.2) under which it is coalesced and
+// cached, plus the work closure. run returns the already-encoded
 // response body so a coalesced result can be shared between followers
 // without any aliasing hazard, plus whether the body carries a
 // learned-surrogate estimate (approx results bypass every response
 // cache tier).
 type parsedRequest struct {
-	canon any
-	run   func() ([]byte, bool, error)
+	key [32]byte
+	run func() ([]byte, bool, error)
 }
+
+// parser decodes and validates the body of one analysis endpoint.
+type parser func(endpoint string, body []byte) (*parsedRequest, error)
 
 // flightResult is what one analysis flight produces: the encoded body
 // plus whether it came from the shared L2 tier (leader and followers
@@ -304,7 +320,7 @@ type flightResult struct {
 // analysis wraps one POST endpoint with the serving mechanisms:
 // draining check, body limit, strict parse, per-request timeout,
 // coalescing, admission, error envelope and metrics.
-func (s *Server) analysis(endpoint string, parse func(body []byte) (*parsedRequest, error)) http.HandlerFunc {
+func (s *Server) analysis(endpoint string, parse parser) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.inflight.Add(1)
@@ -320,18 +336,22 @@ func (s *Server) analysis(endpoint string, parse func(body []byte) (*parsedReque
 			s.writeError(w, endpoint, start, false, errDraining)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := ReadBody(w, r)
 		if err != nil {
 			s.writeError(w, endpoint, start, false, badRequest("read body: %v", err))
 			return
 		}
-		preq, err := parse(body)
+		if body, err = FoldQuery(endpoint, body, r.URL.Query()); err != nil {
+			s.writeError(w, endpoint, start, false, err)
+			return
+		}
+		preq, err := parse(endpoint, body)
 		if err != nil {
 			s.writeError(w, endpoint, start, false, err)
 			return
 		}
 
-		key := requestKey(endpoint, preq.canon)
+		key := preq.key
 		if cached, ok := s.resp.get(key); ok {
 			w.Header().Set("X-Ascendd-Cache", "hit")
 			w.Header().Set("Content-Type", "application/json")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -296,10 +297,10 @@ func TestErrorEnvelope(t *testing.T) {
 // coalescing key, so identical bodies coalesce and distinct bodies
 // queue separately — exactly like production parse functions.
 func registerBlocking(s *Server, path string, gate chan struct{}, runs *atomic.Int32) {
-	s.mux.HandleFunc(path, s.analysis("testblock", func(body []byte) (*parsedRequest, error) {
+	s.mux.HandleFunc(path, s.analysis("testblock", func(_ string, body []byte) (*parsedRequest, error) {
 		key := string(body)
 		return &parsedRequest{
-			canon: key,
+			key: sha256.Sum256(body),
 			run: func() ([]byte, bool, error) {
 				runs.Add(1)
 				// One real simulation per execution, so the coalescing
@@ -615,6 +616,62 @@ func TestBodyLimit(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", huge)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body = %d (%.80s), want 400", resp.StatusCode, body)
+	}
+}
+
+// TestBodyContentLength: the body is read whole whatever Content-Length
+// claims, and the size limit holds whatever it claims.
+func TestBodyContentLength(t *testing.T) {
+	s := New(Config{})
+	const body = `{"chip":"training","op":"mul"}`
+	huge := `{"chip":"training","program":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, tc := range []struct {
+		name          string
+		body          string
+		contentLength int64
+		want          int
+	}{
+		{"understated", body, 5, http.StatusOK},
+		{"overstated", body, 10 * int64(len(body)), http.StatusOK},
+		{"beyond the limit", body, 1 << 40, http.StatusOK},
+		{"unknown", body, -1, http.StatusOK},
+		{"understated oversized body", huge, 5, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(tc.body))
+			r.ContentLength = tc.contentLength
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, r)
+			if w.Code != tc.want {
+				t.Fatalf("HTTP %d (%.80s), want %d", w.Code, w.Body, tc.want)
+			}
+		})
+	}
+}
+
+// TestSearchQueryErrorEnvelope: a bad search query or a body the query
+// cannot fold into gets the error envelope and counts as an error.
+func TestSearchQueryErrorEnvelope(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ name, query, body string }{
+		{"bad beam", "?search=1&beam=wide", `{"op":"add_relu"}`},
+		{"bad search", "?search=maybe", `{"op":"add_relu"}`},
+		{"body not an object", "?search=1", `["add_relu"]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := s.StatsSnapshot().Serve.Errors
+			resp, body := postJSON(t, ts.URL+"/v1/optimize"+tc.query, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("HTTP %d, want 400 (%s)", resp.StatusCode, body)
+			}
+			var env errorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "bad_request" || env.Error.Message == "" {
+				t.Fatalf("body %s is not a bad_request envelope (%v)", body, err)
+			}
+			if got := s.StatsSnapshot().Serve.Errors - before; got != 1 {
+				t.Errorf("errors counter rose by %d, want 1", got)
+			}
+		})
 	}
 }
 
