@@ -71,7 +71,6 @@ func main() {
 		svgPath  = flag.String("svg", "", "write the Fig. 6 roofline chart as SVG to this path")
 		workers  = flag.Int("workers", 0, "parallel analysis workers (0 = ASCENDPERF_WORKERS or GOMAXPROCS)")
 		cacheCap = flag.Int("cache", engine.DefaultCacheCapacity, "simulation cache capacity in entries (0 disables)")
-		cacheDir = flag.String("cachedir", "", "persistent simulation cache directory (default ASCENDPERF_CACHE_DIR); successive invocations warm-start from it")
 		jsonPath = flag.String("json", "", "benchmark the execution engine (worker sweep, parallel and cached passes) and write the timing comparison as JSON to this path")
 		surrPath = flag.String("surrogate", "", "with -json: also evaluate this learned surrogate model over the differential corpus and record learned-vs-exact error stats")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the workload to this path (inspect with go tool pprof)")
@@ -86,12 +85,6 @@ func main() {
 	}
 	engine.SetWorkers(*workers)
 	engine.SetCacheCapacity(*cacheCap)
-	if *cacheDir != "" {
-		if err := engine.SetDiskCacheDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "ascendbench:", err)
-			os.Exit(1)
-		}
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -140,8 +133,8 @@ func main() {
 // same multi-workload analysis (all Table 2 models) swept over worker
 // counts, run in parallel against a warm simulation cache, plus the
 // cache counters of the cached pass and of an iterative optimize
-// loop, the disk cache counters, and the scheduler core's event
-// counters over the whole benchmark. FORMATS.md §5 documents the
+// loop, and the scheduler core's event counters over the whole
+// benchmark. FORMATS.md §5 documents the
 // schema; the file is a trajectory point for tracking the engine
 // speedup across revisions.
 //
@@ -177,6 +170,9 @@ func main() {
 //
 // Schema v7: the shared BENCH header (cliutil.BenchHeader) adds cores,
 // gomaxprocs, seed (always 0: the workload is fixed) and command.
+//
+// Schema v8: drops the two disk counters with the disk simulation
+// cache they counted.
 type engineBench struct {
 	cliutil.BenchHeader
 	Workloads       int     `json:"workloads"`
@@ -217,12 +213,6 @@ type engineBench struct {
 	SearchEvalsSaved     int     `json:"search_evals_saved"`
 	SearchSavedFrac      float64 `json:"search_evals_saved_frac"`
 	SearchParity         bool    `json:"search_parity"`
-
-	// Disk cache counters (zero unless -cachedir/ASCENDPERF_CACHE_DIR
-	// is configured; hits > 0 means this invocation warm-started from a
-	// previous one).
-	DiskCacheHits   uint64 `json:"disk_cache_hits"`
-	DiskCacheWrites uint64 `json:"disk_cache_writes"`
 
 	// Scheduler core counters accumulated across every simulation of
 	// this benchmark (see sim.Counters).
@@ -282,17 +272,16 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	}
 
 	rec := engineBench{
-		BenchHeader: cliutil.NewBenchHeader("ascendperf/bench-engine/v7", chip.Name, 0),
+		BenchHeader: cliutil.NewBenchHeader("ascendperf/bench-engine/v8", chip.Name, 0),
 		Workloads:   len(models),
 	}
 	for _, m := range models {
 		rec.Operators += len(m.Ops)
 	}
 
-	// The sweep passes run uncached — memory and disk — so they time
-	// raw simulation throughput at each worker count.
+	// The sweep passes run uncached, so they time raw simulation
+	// throughput at each worker count.
 	resolvedDefault := engine.Workers()
-	prevDisk := engine.SwapDiskCache(nil)
 	engine.SetCacheCapacity(0)
 	sweepErr := func() error {
 		// One untimed warm-up pass: program builds, fingerprint memos and
@@ -327,7 +316,6 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 		}
 		return nil
 	}()
-	engine.SwapDiskCache(prevDisk)
 	if sweepErr != nil {
 		return sweepErr
 	}
@@ -400,9 +388,6 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	rec.CacheHitRate = stats.HitRate()
 	rec.OptimizeHits = optStats.Hits
 	rec.OptimizeHitRate = optStats.HitRate()
-	snap := engine.Stats()
-	rec.DiskCacheHits = snap.DiskHits
-	rec.DiskCacheWrites = snap.DiskWrites
 	sched := sim.ReadCounters()
 	rec.SchedRuns = sched.Runs - sched0.Runs
 	rec.SchedEvents = sched.Events - sched0.Events

@@ -94,7 +94,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "parallel differential workers (0 = GOMAXPROCS)")
 		jsonPath    = flag.String("json", "", "write the FORMATS.md §7 JSON report to this file")
 		verbose     = flag.Bool("v", false, "print every case, not just failures")
-		cacheDir    = flag.String("cachedir", "", "persistent simulation cache directory (default ASCENDPERF_CACHE_DIR); successive runs warm-start the production scheduler's side of the diff")
 		surrogateP  = flag.String("surrogate", "", "surrogate model file: replay the corpus through the learned predictor instead of the differential harness, gating accepted-prediction MAPE and gated-case bit-identity")
 		maxMAPE     = flag.Float64("maxmape", 0, "with -surrogate: accepted-prediction MAPE gate (0 = the model's committed bound)")
 		version     = flag.Bool("version", false, "print build information and exit")
@@ -103,12 +102,6 @@ func main() {
 	if *version {
 		fmt.Println(cliutil.BuildInfo("ascendcheck"))
 		return
-	}
-	if *cacheDir != "" {
-		if err := engine.SetDiskCacheDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "ascendcheck:", err)
-			os.Exit(1)
-		}
 	}
 	if *surrogateP != "" {
 		if err := runSurrogate(*chipsFlag, *surrogateP, *maxMAPE, *workers, *verbose); err != nil {

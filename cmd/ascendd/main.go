@@ -47,7 +47,6 @@ func main() {
 		drainWait   = flag.Duration("drain", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		workers     = flag.Int("workers", 0, "engine worker pool size (0 = ASCENDPERF_WORKERS or GOMAXPROCS)")
 		cacheCap    = flag.Int("cache", engine.DefaultCacheCapacity, "simulation cache capacity in entries (0 disables)")
-		cacheDir    = flag.String("cachedir", "", "persistent simulation cache directory (default ASCENDPERF_CACHE_DIR); restarts warm-start from it")
 		l2          = flag.String("l2", "", "base URL of a shared L2 cache tier (an ascendrouter -l2dir or cache server); consulted on local cache miss")
 		surrModel   = flag.String("surrogate", "", "learned surrogate model (ascendfit train output); answers /v1/simulate cache misses behind a confidence gate")
 		surrLog     = flag.String("surrogatelog", "", "JSONL training log appended on gated fallbacks (feed back into ascendfit train -log)")
@@ -61,12 +60,6 @@ func main() {
 	}
 	engine.SetWorkers(*workers)
 	engine.SetCacheCapacity(*cacheCap)
-	if *cacheDir != "" {
-		if err := engine.SetDiskCacheDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "ascendd:", err)
-			os.Exit(1)
-		}
-	}
 	if *surrModel != "" {
 		m, err := surrogate.LoadModel(*surrModel)
 		if err != nil {

@@ -5,13 +5,12 @@
 //
 // Usage:
 //
-//	ascendfit [train] -chips all [-cachedir DIR] [-log train.jsonl]
+//	ascendfit [train] -chips all [-log train.jsonl]
 //	          [-lambda L] -out model.json
 //	ascendfit eval -model model.json [-chips all] [-maxmape M]
 //
 // The optional leading word selects the mode (default train). Training
-// simulates the differential corpus exactly (warm-started from
-// -cachedir when set, exactly like every other CLI), merges any JSONL
+// simulates the differential corpus exactly, merges any JSONL
 // training log accumulated by ascendd's gated fallbacks (-log), fits
 // the model on the deterministic 80% split and reports held-out error.
 // Eval replays the corpus through a saved model and fails when the
@@ -46,7 +45,6 @@ func main() {
 	var (
 		chipsFlag = flag.String("chips", "all", `chip presets: comma-separated (training,inference,tpu), or "all"`)
 		corpus    = flag.Bool("corpus", true, "include the differential corpus as training/eval data")
-		cacheDir  = flag.String("cachedir", "", "persistent simulation cache directory (default ASCENDPERF_CACHE_DIR); corpus simulations warm-start from prior runs")
 		logPath   = flag.String("log", "", "JSONL training log of gated fallbacks (written by ascendd -surrogatelog) to merge into the training set")
 		lambda    = flag.Float64("lambda", 0, "ridge regularization strength (0 = default)")
 		outPath   = flag.String("out", "model.json", "model file to write (train mode)")
@@ -59,11 +57,6 @@ func main() {
 	if *version {
 		fmt.Println(cliutil.BuildInfo("ascendfit"))
 		return
-	}
-	if *cacheDir != "" {
-		if err := engine.SetDiskCacheDir(*cacheDir); err != nil {
-			fatal(err)
-		}
 	}
 	var err error
 	switch mode {
@@ -109,7 +102,7 @@ func selectChips(chipsFlag string) (map[string]*hw.Chip, error) {
 }
 
 // gather builds the sample set: exact corpus simulations (through the
-// engine, so -cachedir warm-starts) plus the merged training log.
+// engine) plus the merged training log.
 func gather(chipsFlag string, corpus bool, logPath string, workers int) ([]surrogate.Sample, error) {
 	var samples []surrogate.Sample
 	if corpus {

@@ -99,7 +99,6 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "run the full pipeline: strategies, tile tuning, program passes")
 		workers   = flag.Int("workers", 0, "parallel analysis workers (0 = ASCENDPERF_WORKERS or GOMAXPROCS)")
 		cacheCap  = flag.Int("cache", engine.DefaultCacheCapacity, "simulation cache capacity in entries (0 disables)")
-		cacheDir  = flag.String("cachedir", "", "persistent simulation cache directory (default ASCENDPERF_CACHE_DIR); successive invocations warm-start from it")
 		search    = flag.Bool("search", false, "tune by surrogate-guided beam search instead of the greedy loop; alone it sweeps every registry operator, with -op just that one")
 		beam      = flag.Int("beam", opt.DefaultBeam, "with -search: beam width (exact confirmations per generation)")
 		budget    = flag.Int("budget", opt.DefaultBudget, "with -search: cap on exact simulations per kernel (0 = unlimited)")
@@ -117,12 +116,6 @@ func main() {
 	}
 	engine.SetWorkers(*workers)
 	engine.SetCacheCapacity(*cacheCap)
-	if *cacheDir != "" {
-		if err := engine.SetDiskCacheDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "ascendopt:", err)
-			os.Exit(1)
-		}
-	}
 	if *search {
 		if err := runSearch(*opName, *chipName, *beam, *budget, *episodes, *surrPath, *jsonPath, *maxFrac, *minWarm); err != nil {
 			fmt.Fprintln(os.Stderr, "ascendopt:", err)

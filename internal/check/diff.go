@@ -194,10 +194,10 @@ func Diff(chipName string, prof *profile.Profile, ref *Result) *Report {
 // returned error covers failures to execute at all (invalid program,
 // deadlock in either scheduler); disagreements land in the report.
 //
-// The production side runs through engine.Simulate, so an ascendcheck
-// invocation pointed at a persistent cache directory (-cachedir)
-// warm-starts: only the reference scheduler re-runs, and the diff then
-// also guards the cache layers' bit-exactness.
+// The production side runs through engine.Simulate, so a program the
+// process already simulated comes from the memory cache: only the
+// reference scheduler re-runs, and the diff then also guards the
+// cache's bit-exactness.
 func Check(chip *hw.Chip, prog *isa.Program) (*Report, error) {
 	prof, err := engine.Simulate(chip, prog, sim.Options{KeepSpans: true})
 	if err != nil {

@@ -75,11 +75,11 @@ type cacheShard struct {
 	_         [32]byte
 }
 
-// chipFPs memoizes fingerprints per chip pointer, shared by every cache
-// layer (memory LRU and disk); chipFPCount bounds it so callers minting
-// fresh chips per call (multicore's per-core derivations) cannot grow it
-// without limit. Past the bound fingerprints are recomputed per call
-// instead of stored.
+// chipFPs memoizes fingerprints per chip pointer for the cache keys;
+// chipFPCount bounds it so callers minting fresh chips per call
+// (multicore's per-core derivations) cannot grow it without limit.
+// Past the bound fingerprints are recomputed per call instead of
+// stored.
 var (
 	chipFPs     sync.Map // *hw.Chip -> string
 	chipFPCount atomic.Int64
@@ -174,9 +174,8 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// cacheKey builds the cache key shared by the memory and disk layers;
-// ok is false when the chip cannot be fingerprinted (the caller then
-// bypasses the cache).
+// cacheKey builds the memory cache's key; ok is false when the chip
+// cannot be fingerprinted (the caller then bypasses the cache).
 func cacheKey(chip *hw.Chip, prog *isa.Program, opts sim.Options) (string, bool) {
 	chipFP, ok := chipFingerprint(chip)
 	if !ok {
@@ -286,26 +285,13 @@ func (s *cacheShard) insert(key string, prof *profile.Profile) {
 }
 
 // simulate is the one place that orders the simulation tiers: memory
-// cache c (nil when disabled), disk cache, surrogate pred (nil for
-// exact callers), exact simulator. Only exact results fill the memory
-// and disk tiers, and a gated estimate's exact fallback is handed to
-// the predictor as training data. Whatever tier answers, the profile
-// is private to the caller.
+// cache c (nil when disabled), surrogate pred (nil for exact callers),
+// exact simulator. Only exact results fill the memory tier, and a
+// gated estimate's exact fallback is handed to the predictor as
+// training data. Whatever tier answers, the profile is private to the
+// caller.
 func simulate(c *Cache, chip *hw.Chip, prog *isa.Program, opts sim.Options, pred Predictor) (*profile.Profile, error) {
-	d := diskCache.Load()
-	key, ok := "", false
-	if c != nil || d != nil {
-		key, ok = cacheKey(chip, prog, opts)
-	}
-	if !ok {
-		c, d = nil, nil
-	}
 	lower := func() (*profile.Profile, error) {
-		if d != nil {
-			if p := d.load(key); p != nil {
-				return p, nil
-			}
-		}
 		if pred != nil {
 			if p, ok := pred.Predict(chip, prog, opts); ok && p != nil {
 				atomic.AddUint64(&Live.SurrogatePredicted, 1)
@@ -318,24 +304,22 @@ func simulate(c *Cache, chip *hw.Chip, prog *isa.Program, opts sim.Options, pred
 		if err != nil {
 			return nil, err
 		}
-		if d != nil {
-			d.store(key, p)
-		}
 		if pred != nil {
 			pred.RecordExact(chip, prog, p)
 		}
 		return p, nil
 	}
-	if c == nil {
-		return lower()
+	if c != nil {
+		if key, ok := cacheKey(chip, prog, opts); ok {
+			return c.do(key, pred != nil, lower)
+		}
 	}
-	return c.do(key, pred != nil, lower)
+	return lower()
 }
 
 // Simulate runs the program on the chip through this cache, then the
-// disk cache (SetDiskCacheDir), then the exact simulator. Concurrent
-// misses on one key simulate once. Errors are never cached. The result
-// is always the caller's to mutate.
+// exact simulator. Concurrent misses on one key simulate once. Errors
+// are never cached. The result is always the caller's to mutate.
 func (c *Cache) Simulate(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profile.Profile, error) {
 	return simulate(c, chip, prog, opts, nil)
 }
@@ -368,7 +352,7 @@ func SetCacheCapacity(n int) {
 
 // Simulate is the shared simulate entry point of the hot paths: it runs
 // the program through the process-default cache, or past it when
-// caching is disabled (the disk tier, if configured, still applies).
+// caching is disabled.
 // Cached or not, the returned profile is always private to the caller
 // and the bytes are identical to an uncached sim.RunOpts (the simulator
 // is deterministic).

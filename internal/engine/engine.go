@@ -13,15 +13,15 @@
 //     parallel output byte-identical to serial execution.
 //
 //   - Simulate, SimulateApprox and Cache.Simulate, which answer a
-//     simulation from one tier order: the memory Cache, the disk
-//     cache (SetDiskCacheDir), the learned surrogate (SimulateApprox
-//     only, SetPredictor), then the exact simulator. A simulation is a
+//     simulation from one tier order: the memory Cache, the learned
+//     surrogate (SimulateApprox only, SetPredictor), then the exact
+//     simulator. A simulation is a
 //     pure function of (chip, program, options); the iterative
 //     pipelines re-simulate identical tuples constantly (the optimizer
 //     re-evaluates its baseline and builds structurally identical
 //     candidates, the model runner re-simulates operators it already
 //     weighed, balanced multicore splits run identical per-core
-//     slices). The cache tiers key on stable fingerprints —
+//     slices). The cache keys on stable fingerprints —
 //     Chip.Fingerprint over the canonical JSON encoding and
 //     Program.Fingerprint over the instruction stream — and hand out
 //     deep copies so callers may mutate results freely. The memory

@@ -264,7 +264,6 @@ func TestCacheStress(t *testing.T) {
 // once share a single simulation, and the callers that waited for it
 // count as hits.
 func TestCacheCoalescesConcurrentMisses(t *testing.T) {
-	defer SwapDiskCache(SwapDiskCache(nil))
 	chip := hw.TrainingChip()
 	// Long enough that every goroutine arrives while the first one is
 	// still simulating.

@@ -37,7 +37,7 @@ func SetPredictor(p Predictor) {
 }
 
 // SimulateApprox is Simulate with the learned surrogate in the loop,
-// between the disk cache and the exact simulator. Exact results (cached
+// between the memory cache and the exact simulator. Exact results (cached
 // or fresh) are always preferred over predictions — the surrogate only
 // answers genuine simulation misses. Accepted predictions are returned
 // with Profile.Approx set and are never inserted into any cache tier,

@@ -31,7 +31,6 @@ func (p *parkedPredictor) RecordExact(*hw.Chip, *isa.Program, *profile.Profile) 
 // never with an estimate-accepting one.
 func TestExactCallerNeverGetsEstimate(t *testing.T) {
 	defer SetCacheCapacity(DefaultCacheCapacity)
-	defer SwapDiskCache(SwapDiskCache(nil))
 	SetCacheCapacity(DefaultCacheCapacity)
 	pred := &parkedPredictor{entered: make(chan struct{}), release: make(chan struct{})}
 	SetPredictor(pred)

@@ -16,8 +16,6 @@ type Snapshot struct {
 	CacheEvictions uint64  `json:"cache_evictions" metric:"ascendd_engine_cache_evictions_total" kind:"counter" help:"Memory simulation cache evictions."`
 	CacheEntries   int     `json:"cache_entries" metric:"ascendd_engine_cache_entries" kind:"gauge" help:"Memory simulation cache resident entries."`
 	CacheHitRate   float64 `json:"cache_hit_rate" kind:"gauge" help:"Memory simulation cache hits / (hits + misses), 0 before the first lookup."`
-	DiskHits       uint64  `json:"disk_hits" metric:"ascendd_engine_disk_cache_hits_total" kind:"counter" help:"Disk simulation cache hits."`
-	DiskWrites     uint64  `json:"disk_writes" metric:"ascendd_engine_disk_cache_writes_total" kind:"counter" help:"Disk simulation cache entries persisted."`
 
 	SchedRuns       uint64 `json:"sched_runs" metric:"ascendd_sched_runs_total" kind:"counter" help:"Completed simulations."`
 	SchedEvents     uint64 `json:"sched_events" metric:"ascendd_sched_events_total" kind:"counter" help:"Scheduler event-loop rounds."`
@@ -55,9 +53,9 @@ type Snapshot struct {
 
 // Live holds the process-wide totals of the surrogate_*, search_* and
 // graph_* counters. Increment its fields only with atomic.AddUint64;
-// read them through Stats. The cache, disk and scheduler fields stay
-// zero here: Stats reads those from the sharded cache, the disk cache
-// and the scheduler's striped counters.
+// read them through Stats. The cache and scheduler fields stay zero
+// here: Stats reads those from the sharded cache and the scheduler's
+// striped counters.
 var Live Snapshot
 
 // Stats returns a snapshot of the engine's process-wide counters.
@@ -66,10 +64,6 @@ func Stats() Snapshot {
 	if c := defaultCache.Load(); c != nil {
 		cs := c.Stats()
 		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CacheEntries, s.CacheHitRate = cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.HitRate()
-	}
-	if d := diskCache.Load(); d != nil {
-		ds := d.Stats()
-		s.DiskHits, s.DiskWrites = ds.Hits, ds.Writes
 	}
 	sc := sim.ReadCounters()
 	s.SchedRuns, s.SchedEvents, s.SchedStarts, s.SchedEligChecks = sc.Runs, sc.Events, sc.Starts, sc.EligChecks

@@ -10,18 +10,13 @@ import (
 )
 
 // TestStatsConcurrentWithSimulate hammers the Stats() snapshot while
-// simulations run, cache entries churn and the disk cache is swapped —
-// the access pattern of a live ascendd serving /metrics scrapes during
-// analysis traffic. Run under -race this proves every counter read is
+// simulations run and cache entries churn — the access pattern of a
+// live ascendd serving /metrics scrapes during analysis traffic. Run under -race this proves every counter read is
 // either atomic or lock-guarded; a torn read shows up as a detector
 // report, not a flaky assertion.
 func TestStatsConcurrentWithSimulate(t *testing.T) {
 	SetCacheCapacity(8) // small: force concurrent eviction traffic
 	defer SetCacheCapacity(DefaultCacheCapacity)
-	if err := SetDiskCacheDir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer SwapDiskCache(nil)
 
 	chip := hw.TrainingChip()
 	stop := make(chan struct{})

@@ -37,7 +37,6 @@ func TestPerCoreChipSharesGMOnly(t *testing.T) {
 func TestBalancedRun(t *testing.T) {
 	defer engine.SetWorkers(0)
 	defer engine.SetCacheCapacity(engine.DefaultCacheCapacity)
-	defer engine.SwapDiskCache(engine.SwapDiskCache(nil))
 	engine.SetWorkers(4)
 	engine.SetCacheCapacity(engine.DefaultCacheCapacity)
 	chip := hw.TrainingChip()

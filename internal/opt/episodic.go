@@ -173,8 +173,7 @@ func DefaultEpisodeStore() *EpisodeStore {
 
 func init() {
 	if dir := os.Getenv("ASCENDPERF_EPISODE_DIR"); dir != "" {
-		// Same contract as ASCENDPERF_CACHE_DIR: a bad directory is
-		// ignored rather than failing process start.
+		// A bad directory is ignored rather than failing process start.
 		_ = SetEpisodeDir(dir)
 	}
 }

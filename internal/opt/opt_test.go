@@ -278,7 +278,6 @@ func (f *fingerprintingKernel) Build(chip *hw.Chip, opts kernels.Options) (*isa.
 // kernel.
 func TestOptimizeSimulatesEachProgramOnce(t *testing.T) {
 	defer engine.SetCacheCapacity(engine.DefaultCacheCapacity)
-	defer engine.SwapDiskCache(engine.SwapDiskCache(nil))
 	reg := kernels.Registry()
 	names := make([]string, 0, len(reg))
 	for name := range reg {

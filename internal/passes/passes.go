@@ -245,43 +245,3 @@ func CheckOrdering(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error {
 	}
 	return nil
 }
-
-// CoalesceTransfers merges adjacent same-path transfers whose source and
-// destination regions are contiguous into single larger transfers —
-// Increasing Transfer Granularity as an IR pass. Only immediately
-// consecutive instructions merge (no instruction of any kind between
-// them in program order), which is trivially dependence-safe: no other
-// instruction can observe the intermediate state, and the merged
-// transfer covers exactly the same bytes.
-func CoalesceTransfers(chip *hw.Chip, prog *isa.Program) (*isa.Program, error) {
-	out := &isa.Program{Name: prog.Name + "+coalesce"}
-	for i := 0; i < len(prog.Instrs); i++ {
-		cur := prog.Instrs[i]
-		if cur.Kind == isa.KindTransfer && len(cur.Reads) == 1 && len(cur.Writes) == 1 {
-			for i+1 < len(prog.Instrs) {
-				next := prog.Instrs[i+1]
-				if next.Kind != isa.KindTransfer || next.Path != cur.Path ||
-					len(next.Reads) != 1 || len(next.Writes) != 1 {
-					break
-				}
-				if next.Reads[0].Level != cur.Reads[0].Level ||
-					next.Reads[0].Off != cur.Reads[0].End() ||
-					next.Writes[0].Off != cur.Writes[0].End() {
-					break
-				}
-				cur.Reads[0].Size += next.Reads[0].Size
-				cur.Writes[0].Size += next.Writes[0].Size
-				cur.Bytes += next.Bytes
-				if cur.Label == "" {
-					cur.Label = next.Label
-				}
-				i++
-			}
-		}
-		out.Append(cur)
-	}
-	if err := out.Validate(chip); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

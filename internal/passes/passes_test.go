@@ -270,75 +270,3 @@ func TestMinimalSyncIdempotent(t *testing.T) {
 		t.Errorf("time changed on reapplication: %v -> %v", a, b)
 	}
 }
-
-// TestCoalesceTransfers: back-to-back contiguous gathers merge into one
-// transfer with identical total bytes and better time.
-func TestCoalesceTransfers(t *testing.T) {
-	chip := hw.TrainingChip()
-	prog := &isa.Program{Name: "gathers"}
-	const chunk = 2048
-	for i := int64(0); i < 16; i++ {
-		prog.Append(isa.Transfer(hw.PathGMToUB, i*chunk, i*chunk, chunk))
-	}
-	merged, err := CoalesceTransfers(chip, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Len() != 1 {
-		t.Fatalf("instructions = %d, want 1", merged.Len())
-	}
-	if merged.Stat().Bytes != prog.Stat().Bytes {
-		t.Error("coalescing changed total bytes")
-	}
-	before := simulate(t, chip, prog)
-	after := simulate(t, chip, merged)
-	if after >= before {
-		t.Errorf("coalescing did not improve: %.1f -> %.1f us", before/1000, after/1000)
-	}
-}
-
-// TestCoalesceStopsAtGaps: non-contiguous or interleaved transfers stay
-// separate.
-func TestCoalesceStopsAtGaps(t *testing.T) {
-	chip := hw.TrainingChip()
-	prog := &isa.Program{Name: "gaps"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1024),
-		isa.Transfer(hw.PathGMToUB, 4096, 4096, 1024), // gap in src/dst
-		isa.Transfer(hw.PathGMToUB, 5120, 5120, 1024), // contiguous with #2
-		isa.Compute(hw.Vector, hw.FP16, 64),           // breaks adjacency
-		isa.Transfer(hw.PathGMToUB, 6144, 6144, 1024),
-		isa.Transfer(hw.PathUBToGM, 0, 1<<20, 1024), // different path
-	)
-	merged, err := CoalesceTransfers(chip, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// #2 and #3 merge; everything else stays: 5 instructions.
-	if merged.Len() != 5 {
-		t.Fatalf("instructions = %d, want 5\n%s", merged.Len(), merged.Disassemble())
-	}
-	simulate(t, chip, merged)
-}
-
-// TestCoalesceOnEmbeddingLookup: the pass recovers most of the ITG gain
-// on the gather-heavy kernel's baseline without rebuilding it.
-func TestCoalesceOnEmbeddingLookup(t *testing.T) {
-	chip := hw.TrainingChip()
-	k := kernels.NewEmbeddingLookup()
-	base, err := k.Build(chip, k.Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := simulate(t, chip, base)
-	merged, err := CoalesceTransfers(chip, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := simulate(t, chip, merged)
-	// The kernel interleaves syncs, so only some merges apply; any gain
-	// without touching the generator is the point.
-	if after > before {
-		t.Errorf("coalescing regressed: %.1f -> %.1f us", before/1000, after/1000)
-	}
-}

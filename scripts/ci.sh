@@ -15,7 +15,7 @@ echo "== go build =="
 go build ./...
 
 echo "== go test =="
-go test ./...
+go test -shuffle=on ./...
 
 echo "== go test -race =="
 go test -race ./...
