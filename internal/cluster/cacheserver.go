@@ -16,13 +16,13 @@ import (
 )
 
 // CacheServer is the shared second-level response cache: a tiny
-// GET/PUT-over-HTTP protocol in front of a disk directory, using the
-// same durability idiom as the PR 4 simulation disk cache (atomic
-// temp-file + rename, so concurrent writers and crashing peers never
-// expose a torn entry). Values are encoded ascendd response bodies;
-// keys on the wire are the hex SHA-256 of the canonical request key
-// (WireKey of the digest the shard already keys on), which keeps
-// arbitrary-length JSON keys out of URLs and doubles as the filename.
+// GET/PUT-over-HTTP protocol in front of a disk directory. Each entry
+// is written to a temporary file and renamed into place, so concurrent
+// writers and crashing peers never expose a torn entry. Values are
+// encoded ascendd response bodies; keys on the wire are the hex SHA-256
+// of the canonical request key (WireKey of the digest the shard already
+// keys on), which keeps arbitrary-length JSON keys out of URLs and
+// doubles as the filename.
 // Like every cache tier in this repository it is an accelerator, not a
 // correctness dependency: any I/O failure is a miss or a dropped store,
 // never an error surfaced to the analysis path.
@@ -287,8 +287,7 @@ func (c *CacheServer) write(path string, body []byte) error {
 // WireKey maps a request digest (serve.CanonicalKey: SHA-256 of the
 // endpoint-qualified canonical key) to its on-the-wire (and on-disk)
 // form: lower-case hex. Collision of distinct canonical keys is treated
-// as impossible, the same stance the engine disk cache takes for its
-// SHA-256 filenames.
+// as impossible, as it is for the episode store's SHA-256 filenames.
 func WireKey(key [32]byte) string {
 	return hex.EncodeToString(key[:])
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 )
 
 // Fingerprint returns a stable hex digest of the program: its name and
@@ -75,3 +76,27 @@ func (p *Program) Fingerprint() string {
 // fpChunk is the encoded size at which Fingerprint hands its buffer to
 // the hash.
 const fpChunk = 4 << 10
+
+// Equal reports whether p and q have the same name and the same
+// instructions, field for field, which is exactly when their
+// fingerprints are equal (up to hash collisions): nil and empty region
+// lists are equal, as the encoding writes only their length. It stops
+// at the first difference and hashes nothing, so comparing two
+// programs costs less than fingerprinting one of them.
+func (p *Program) Equal(q *Program) bool {
+	if p.Name != q.Name || len(p.Instrs) != len(q.Instrs) {
+		return false
+	}
+	for i := range p.Instrs {
+		a, b := &p.Instrs[i], &q.Instrs[i]
+		if a.Kind != b.Kind || a.Label != b.Label ||
+			a.Unit != b.Unit || a.Prec != b.Prec || a.Ops != b.Ops || a.Repeat != b.Repeat ||
+			a.Path != b.Path || a.Bytes != b.Bytes ||
+			!slices.Equal(a.Reads, b.Reads) || !slices.Equal(a.Writes, b.Writes) ||
+			a.From != b.From || a.To != b.To || a.EventID != b.EventID ||
+			a.Scope != b.Scope || a.Pipe != b.Pipe {
+			return false
+		}
+	}
+	return true
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -19,10 +20,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestFingerprintGolden pins Program.Fingerprint values. Fingerprints
-// key the on-disk simulation cache and the episode store, so any change
-// to the encoding orphans every entry written before it: a drift here
-// must be deliberate (re-bless with `go test -run FingerprintGolden
-// -update`) and documented as a cache-format change.
+// key the episode store on disk, so any change to the encoding orphans
+// every episode written before it: a drift here must be deliberate
+// (re-bless with `go test -run FingerprintGolden -update`) and
+// documented as an episode-format change.
 func TestFingerprintGolden(t *testing.T) {
 	var buf bytes.Buffer
 	line := func(chip, name string, p *isa.Program) {
@@ -105,4 +106,152 @@ func BenchmarkFingerprint(b *testing.B) {
 		p := &isa.Program{Name: src.Name, Instrs: src.Instrs}
 		_ = p.Fingerprint()
 	}
+}
+
+// mutateLeaf changes the leaf'th mutable leaf reachable from v (fields
+// of structs, elements of slices, and each slice itself, which grows by
+// one zero element) and reports whether v had that many leaves, with
+// the path it changed. Every leaf of isa.Instr is reached, so a field
+// added later is mutated too; a field of a kind it cannot change fails
+// the test instead of going unchecked.
+func mutateLeaf(t *testing.T, v reflect.Value, path string, leaf *int) (string, bool) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p, ok := mutateLeaf(t, v.Field(i), path+"."+v.Type().Field(i).Name, leaf); ok {
+				return p, true
+			}
+		}
+		return "", false
+	case reflect.Slice:
+		if *leaf == 0 {
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+			return path + "[+]", true
+		}
+		*leaf--
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := mutateLeaf(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), leaf); ok {
+				return p, true
+			}
+		}
+		return "", false
+	}
+	if *leaf > 0 {
+		*leaf--
+		return "", false
+	}
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		t.Fatalf("%s: cannot mutate a %s field", path, v.Kind())
+	}
+	return path, true
+}
+
+// TestEqualCoversEveryField mutates one leaf of one instruction at a
+// time in a fresh build of a registry program and requires both Equal
+// and Fingerprint to tell the copy from the original.
+func TestEqualCoversEveryField(t *testing.T) {
+	chip := hw.TrainingChip()
+	k := kernels.Registry()["add_relu"]
+	build := func() *isa.Program {
+		p, err := k.Build(chip, k.Baseline())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	orig := build()
+	at := -1
+	for i := range orig.Instrs {
+		if len(orig.Instrs[i].Reads) > 0 && len(orig.Instrs[i].Writes) > 0 {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("no instruction with both reads and writes")
+	}
+	mutated := 0
+	for leaf := 0; ; leaf++ {
+		p := build()
+		n := leaf
+		path, ok := mutateLeaf(t, reflect.ValueOf(&p.Instrs[at]).Elem(), "Instr", &n)
+		if !ok {
+			break
+		}
+		mutated++
+		if p.Equal(orig) || orig.Equal(p) {
+			t.Errorf("%s changed but Equal still holds", path)
+		}
+		if p.Fingerprint() == orig.Fingerprint() {
+			t.Errorf("%s changed but Fingerprint did not", path)
+		}
+	}
+	if mutated < reflect.TypeOf(isa.Instr{}).NumField() {
+		t.Fatalf("mutated %d leaves, fewer than Instr's %d fields", mutated, reflect.TypeOf(isa.Instr{}).NumField())
+	}
+	renamed := build()
+	renamed.Name += "'"
+	if renamed.Equal(orig) {
+		t.Error("programs with different names are Equal")
+	}
+	if !build().Equal(orig) {
+		t.Error("two builds of one program are not Equal")
+	}
+}
+
+// TestEqualAgreesWithFingerprint compares every pair drawn from two
+// separate builds of the registry corpus (every kernel, baseline and
+// optimized, on the three preset chips): Equal must hold exactly when
+// the fingerprints match.
+func TestEqualAgreesWithFingerprint(t *testing.T) {
+	reg := kernels.Registry()
+	names := make([]string, 0, len(reg))
+	for n := range reg {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	buildAll := func() []*isa.Program {
+		var out []*isa.Program
+		for _, chip := range []*hw.Chip{hw.TrainingChip(), hw.InferenceChip(), hw.TPUStyleChip()} {
+			for _, n := range names {
+				k := reg[n]
+				for _, opts := range []kernels.Options{k.Baseline(), kernels.FullyOptimized(k)} {
+					p, err := k.Build(chip, opts)
+					if err != nil {
+						t.Fatalf("%s on %s: %v", n, chip.Name, err)
+					}
+					out = append(out, p)
+				}
+			}
+		}
+		return out
+	}
+	a, b := buildAll(), buildAll()
+	equal := 0
+	for i, p := range a {
+		for j, q := range b {
+			same := p.Fingerprint() == q.Fingerprint()
+			if p.Equal(q) != same {
+				t.Fatalf("%s #%d vs %s #%d: Equal %v, fingerprints equal %v", p.Name, i, q.Name, j, !same, same)
+			}
+			if same {
+				equal++
+			}
+		}
+	}
+	if equal < len(a) {
+		t.Fatalf("%d equal pairs, fewer than the %d programs built twice", equal, len(a))
+	}
+	t.Logf("%d programs, %d equal pairs", len(a), equal)
 }

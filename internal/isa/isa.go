@@ -292,7 +292,9 @@ type fpMemo struct {
 
 // Append adds instructions to the program. Capacity doubles when it
 // runs out: plain append grows large slices by ~1.25x per step, and
-// kernel builds append their whole stream one instruction at a time.
+// callers that emit a stream one instruction at a time would regrow it
+// far more often. Kernel builds append into a reused buffer, which
+// regrows only while it is smaller than the build.
 func (p *Program) Append(ins ...Instr) {
 	if need := len(p.Instrs) + len(ins); need > cap(p.Instrs) {
 		p.Instrs = slices.Grow(p.Instrs, max(need, 2*len(p.Instrs), 64)-len(p.Instrs))

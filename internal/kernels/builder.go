@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
@@ -12,17 +13,30 @@ import (
 // are accumulated and surfaced by Program().
 type Builder struct {
 	chip *hw.Chip
+	// prog is the stream under construction. Until the first Program
+	// call its Instrs live in buf, a buffer borrowed from instrBufs.
 	prog *isa.Program
+	buf  *[]isa.Instr
 	next map[hw.Level]int64
 	ev   map[[2]hw.Component]int
 	err  error
 }
 
+// instrBufs holds instruction buffers between builds. A build emits its
+// stream one instruction at a time; in a fresh slice that regrows the
+// array about log2(n) times, re-zeroing and re-copying every earlier
+// instruction, while a reused buffer has already grown to the size of
+// the builds it served and the program is copied out once, at its
+// exact length.
+var instrBufs = sync.Pool{New: func() any { return new([]isa.Instr) }}
+
 // NewBuilder returns a builder for a program with the given name.
 func NewBuilder(chip *hw.Chip, name string) *Builder {
+	buf := instrBufs.Get().(*[]isa.Instr)
 	return &Builder{
 		chip: chip,
-		prog: &isa.Program{Name: name},
+		prog: &isa.Program{Name: name, Instrs: (*buf)[:0]},
+		buf:  buf,
 		next: map[hw.Level]int64{},
 		ev:   map[[2]hw.Component]int{},
 	}
@@ -141,15 +155,37 @@ func (b *Builder) StageSync(from, to hw.Component, minimalSync bool) {
 	}
 }
 
-// Program finalizes the build.
+// Program finalizes the build. The returned program owns its
+// instructions: it never shares an array with the builder's buffer, and
+// later calls on the builder do not change it. Each call returns the
+// stream emitted so far.
 func (b *Builder) Program() (*isa.Program, error) {
 	if b.err != nil {
+		b.release(nil)
 		return nil, b.err
 	}
-	if err := b.prog.Validate(b.chip); err != nil {
+	p := &isa.Program{Name: b.prog.Name, Instrs: make([]isa.Instr, len(b.prog.Instrs))}
+	copy(p.Instrs, b.prog.Instrs)
+	// The builder keeps reading p's array; its length equals its
+	// capacity, so a later append copies instead of writing into it.
+	b.release(p.Instrs)
+	if err := p.Validate(b.chip); err != nil {
 		return nil, err
 	}
-	return b.prog, nil
+	return p, nil
+}
+
+// release returns the borrowed buffer to instrBufs, cleared so that it
+// pins no regions or labels, and continues the stream in instrs. After
+// the first call the builder appends only to arrays it allocates itself.
+func (b *Builder) release(instrs []isa.Instr) {
+	if b.buf != nil {
+		clear(b.prog.Instrs)
+		*b.buf = b.prog.Instrs[:0]
+		instrBufs.Put(b.buf)
+		b.buf = nil
+	}
+	b.prog.Instrs = instrs
 }
 
 // Used returns the bytes currently allocated in the level.

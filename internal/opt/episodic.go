@@ -6,8 +6,8 @@
 // re-verifies the recorded winner through the exact engine (two or
 // three simulations) and, on a bit-exact match, skips the search
 // entirely; any mismatch falls back to a full search and overwrites
-// the episode. The store mirrors the engine disk cache's layout: one
-// JSON file per key under a directory, named by the key's SHA-256.
+// the episode. The store keeps one JSON file per key under a
+// directory, named by the key's SHA-256.
 package opt
 
 import (
@@ -69,7 +69,7 @@ func NewEpisodeStore(dir string) (*EpisodeStore, error) {
 func (s *EpisodeStore) Dir() string { return s.dir }
 
 // path maps a key to its file: SHA-256 so arbitrary key text is safe
-// as a filename (same scheme as the engine disk cache).
+// as a filename.
 func (s *EpisodeStore) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".json")

@@ -233,13 +233,13 @@ func (a state) less(b state) bool {
 // states share one program, and the exhaustive reference's argmin
 // tie-break always lands on the lowest of them. Builds are memoized and
 // cost no exact simulations, so this keeps reports in parity without
-// touching the budget.
+// touching the budget. Candidates are compared with Program.Equal, which
+// agrees with fingerprint equality and stops at the first difference.
 func (s *searcher) canonicalize(st state) state {
 	prog, err := s.build(st)
 	if err != nil {
 		return st
 	}
-	fp := prog.Fingerprint()
 	full := uint32(1)<<uint(len(s.sup)) - 1
 	for mask := uint32(0); ; mask++ {
 		for t := range s.tiles {
@@ -247,7 +247,7 @@ func (s *searcher) canonicalize(st state) state {
 			if cand == st {
 				return st
 			}
-			if p, err := s.build(cand); err == nil && p.Fingerprint() == fp {
+			if p, err := s.build(cand); err == nil && p.Equal(prog) {
 				return cand
 			}
 		}

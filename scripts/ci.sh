@@ -85,12 +85,14 @@ echo "== simulation-reuse gate (one simulation per concurrent miss, exact caller
 # simulate each distinct program once, a balanced multicore split must
 # simulate its identical slice once, a panicking simulation must release
 # the callers waiting on it, an exact caller must never join an
-# estimate's flight, and a coalesced request must still be answered
-# after its flight's leader disconnects.
+# estimate's flight, a coalesced request must still be answered
+# after its flight's leader disconnects, and kernel builds sharing the
+# pooled instruction buffers must never write into one another's.
 go test -race -count=5 -run 'TestCacheCoalescesConcurrentMisses|TestCacheFlightPanicReleasesWaiters|TestExactCallerNeverGetsEstimate' ./internal/engine
 go test -race -count=5 -run 'TestOptimizeSimulatesEachProgramOnce' ./internal/opt
 go test -race -count=5 -run 'TestBalancedRun' ./internal/multicore
 go test -race -count=5 -run 'TestLeaderDisconnectKeepsFollowers' ./internal/serve
+go test -race -count=5 -run 'TestBuilderBuffer|TestBuilderConcurrentBuilds' ./internal/kernels
 
 echo "== fuzz (short budget) =="
 # A few seconds of coverage-guided fuzzing per target; long enough to
@@ -106,10 +108,11 @@ go test -run '^$' -fuzz FuzzDecodeSimulate -fuzztime 10s -fuzzminimizetime 5s ./
 go test -run '^$' -fuzz FuzzWriteLabel -fuzztime 10s -fuzzminimizetime 5s ./internal/trace
 
 echo "== benchmark smoke =="
-# Compile and execute every scheduler/engine/parser/critical-path/trace
-# benchmark for one iteration: catches benchmarks that no longer build
-# or that fail at runtime, without paying for a real measurement.
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate ./internal/isa ./internal/critpath ./internal/trace
+# Compile and execute every scheduler/engine/parser/critical-path/trace/
+# kernel-build benchmark for one iteration: catches benchmarks that no
+# longer build or that fail at runtime, without paying for a real
+# measurement.
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate ./internal/isa ./internal/critpath ./internal/trace ./internal/kernels
 
 echo "== parallel scaling smoke =="
 # The engine worker sweep: ascendbench -json errors out by itself if
