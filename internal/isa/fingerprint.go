@@ -78,25 +78,35 @@ func (p *Program) Fingerprint() string {
 const fpChunk = 4 << 10
 
 // Equal reports whether p and q have the same name and the same
-// instructions, field for field, which is exactly when their
-// fingerprints are equal (up to hash collisions): nil and empty region
-// lists are equal, as the encoding writes only their length. It stops
-// at the first difference and hashes nothing, so comparing two
-// programs costs less than fingerprinting one of them.
+// instructions, field for field (InstrEqual), which is exactly when
+// their fingerprints are equal (up to hash collisions). It stops at the
+// first difference and hashes nothing, so comparing two programs costs
+// less than fingerprinting one of them.
 func (p *Program) Equal(q *Program) bool {
+	if p == q {
+		return true
+	}
 	if p.Name != q.Name || len(p.Instrs) != len(q.Instrs) {
 		return false
 	}
 	for i := range p.Instrs {
-		a, b := &p.Instrs[i], &q.Instrs[i]
-		if a.Kind != b.Kind || a.Label != b.Label ||
-			a.Unit != b.Unit || a.Prec != b.Prec || a.Ops != b.Ops || a.Repeat != b.Repeat ||
-			a.Path != b.Path || a.Bytes != b.Bytes ||
-			!slices.Equal(a.Reads, b.Reads) || !slices.Equal(a.Writes, b.Writes) ||
-			a.From != b.From || a.To != b.To || a.EventID != b.EventID ||
-			a.Scope != b.Scope || a.Pipe != b.Pipe {
+		if !InstrEqual(&p.Instrs[i], &q.Instrs[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// InstrEqual reports whether a and b agree on every field the
+// fingerprint encodes. Nil and empty region lists are equal, as the
+// encoding writes only their length. It is the one definition of
+// instruction identity behind Program.Equal and every comparison that
+// must agree with it.
+func InstrEqual(a, b *Instr) bool {
+	return a.Kind == b.Kind && a.Label == b.Label &&
+		a.Unit == b.Unit && a.Prec == b.Prec && a.Ops == b.Ops && a.Repeat == b.Repeat &&
+		a.Path == b.Path && a.Bytes == b.Bytes &&
+		slices.Equal(a.Reads, b.Reads) && slices.Equal(a.Writes, b.Writes) &&
+		a.From == b.From && a.To == b.To && a.EventID == b.EventID &&
+		a.Scope == b.Scope && a.Pipe == b.Pipe
 }

@@ -64,17 +64,23 @@ func (a *AvgPool) Supported() []Strategy { return []Strategy{AIP, CT} }
 
 // Build implements Kernel.
 func (a *AvgPool) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return a.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (a *AvgPool) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if a.Tiles <= 0 || a.TileElems <= 0 || a.Loops <= 0 || a.GroupsPerLoop <= 0 {
 		return nil, fmt.Errorf("kernels: avgpool: invalid specification")
 	}
 	if opts.OffloadToCube {
-		return a.buildCube(chip, opts)
+		return a.buildCube(chip, opts, want)
 	}
 	variant := "baseline"
 	if opts.FullRepeat {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, a.Name()+"/"+variant)
+	b := newBuilder(chip, a.Name()+"/"+variant, want)
 
 	tileBytes := a.TileElems * 2
 	outBytes := a.OutElems * 2
@@ -135,8 +141,8 @@ func (a *AvgPool) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
 // (Section 5.4's CT, via data rearrangement). Tiles flow GM->L1->L0A,
 // the ones vector sits in L0B, and the Vector unit only scales and
 // drains the tiny pooled output.
-func (a *AvgPool) buildCube(chip *hw.Chip, opts Options) (*isa.Program, error) {
-	b := NewBuilder(chip, a.Name()+"/cube-offload")
+func (a *AvgPool) buildCube(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
+	b := newBuilder(chip, a.Name()+"/cube-offload", want)
 	tileBytes := a.TileElems * 2
 	outBytes := a.OutElems * 2
 

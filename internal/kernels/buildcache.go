@@ -69,3 +69,53 @@ func (b *BuildMemo) Build(chip *hw.Chip, k Kernel, opts Options) (*isa.Program, 
 	b.m[key] = built{prog: prog, err: err}
 	return prog, err
 }
+
+// emitter is implemented by every registry kernel type: Build is
+// emit(chip, opts, nil), and a non-nil want turns the build into a
+// comparing build (newBuilder) that allocates no program.
+type emitter interface {
+	emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error)
+}
+
+// Matches reports whether k.Build(chip, opts) would succeed with a
+// program equal to want (isa.Program.Equal). A memoized result is
+// compared directly. Otherwise a registry kernel streams its build
+// against want, stopping at the first instruction that differs, and
+// nothing is stored, copied or validated; any other kernel builds
+// through the memo.
+//
+// Precondition: want was built for chip, so it has already passed
+// Validate on chip, and so would any program equal to it.
+func (b *BuildMemo) Matches(chip *hw.Chip, k Kernel, opts Options, want *isa.Program) bool {
+	if reflect.TypeOf(k).Comparable() {
+		b.mu.Lock()
+		r, ok := b.m[buildKey{chip: chip, kernel: k, opts: opts}]
+		b.mu.Unlock()
+		if ok {
+			return r.err == nil && r.prog.Equal(want)
+		}
+	}
+	if e, ok := k.(emitter); ok {
+		return matchStream(e, chip, opts, want)
+	}
+	prog, err := b.Build(chip, k, opts)
+	return err == nil && prog.Equal(want)
+}
+
+// matchStream runs e's comparing build against want. The builder
+// unwinds with a mismatch panic at the first difference; only that
+// panic is recovered. Kernel builds hold no defers, locks or pooled
+// resources between newBuilder and Program (a comparing builder
+// borrows no instruction buffer), so unwinding leaks nothing.
+func matchStream(e emitter, chip *hw.Chip, opts Options, want *isa.Program) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isMismatch := r.(mismatch); !isMismatch {
+				panic(r)
+			}
+			ok = false
+		}
+	}()
+	prog, err := e.emit(chip, opts, want)
+	return err == nil && prog == want
+}

@@ -11,16 +11,30 @@ import (
 // Builder assembles an isa.Program with bump-pointer buffer allocation
 // and automatic flag-event management. Errors (e.g. buffer exhaustion)
 // are accumulated and surfaced by Program().
+//
+// A comparing builder (newBuilder with a non-nil want) emits nothing:
+// it checks each instruction against want as it is emitted and unwinds
+// with a mismatch panic on the first difference, which BuildMemo.Matches
+// recovers.
 type Builder struct {
 	chip *hw.Chip
 	// prog is the stream under construction. Until the first Program
 	// call its Instrs live in buf, a buffer borrowed from instrBufs.
+	// A comparing builder has neither.
 	prog *isa.Program
 	buf  *[]isa.Instr
+	// want is the program a comparing builder checks the stream
+	// against; n counts the instructions matched so far.
+	want *isa.Program
+	n    int
 	next map[hw.Level]int64
 	ev   map[[2]hw.Component]int
 	err  error
 }
+
+// mismatch is the panic value a comparing builder unwinds with when its
+// stream departs from the program it is checking against.
+type mismatch struct{}
 
 // instrBufs holds instruction buffers between builds. A build emits its
 // stream one instruction at a time; in a fresh slice that regrows the
@@ -32,18 +46,48 @@ var instrBufs = sync.Pool{New: func() any { return new([]isa.Instr) }}
 
 // NewBuilder returns a builder for a program with the given name.
 func NewBuilder(chip *hw.Chip, name string) *Builder {
-	buf := instrBufs.Get().(*[]isa.Instr)
-	return &Builder{
+	return newBuilder(chip, name, nil)
+}
+
+// newBuilder returns a builder for a program with the given name; with
+// a non-nil want, a comparing builder that panics with mismatch unless
+// the program it would build is want.
+func newBuilder(chip *hw.Chip, name string, want *isa.Program) *Builder {
+	b := &Builder{
 		chip: chip,
-		prog: &isa.Program{Name: name, Instrs: (*buf)[:0]},
-		buf:  buf,
+		want: want,
 		next: map[hw.Level]int64{},
 		ev:   map[[2]hw.Component]int{},
 	}
+	if want != nil {
+		if want.Name != name {
+			panic(mismatch{})
+		}
+		return b
+	}
+	b.buf = instrBufs.Get().(*[]isa.Instr)
+	b.prog = &isa.Program{Name: name, Instrs: (*b.buf)[:0]}
+	return b
 }
 
-// fail records the first error.
+// push emits one instruction, or checks it against want.
+func (b *Builder) push(in isa.Instr) {
+	if b.want == nil {
+		b.prog.Append(in)
+		return
+	}
+	if b.n >= len(b.want.Instrs) || !isa.InstrEqual(&in, &b.want.Instrs[b.n]) {
+		panic(mismatch{})
+	}
+	b.n++
+}
+
+// fail records the first error. A comparing builder's want was built
+// without one, so any error is a mismatch.
 func (b *Builder) fail(format string, args ...any) {
+	if b.want != nil {
+		panic(mismatch{})
+	}
 	if b.err == nil {
 		b.err = fmt.Errorf("kernels: %s: %s", b.prog.Name, fmt.Sprintf(format, args...))
 	}
@@ -83,7 +127,7 @@ func (b *Builder) Copy(path hw.Path, src, dst isa.Region, label string) {
 		b.fail("copy %s with mismatched sizes %d -> %d", path, src.Size, dst.Size)
 		return
 	}
-	b.prog.Append(isa.Instr{
+	b.push(isa.Instr{
 		Kind:   isa.KindTransfer,
 		Path:   path,
 		Bytes:  src.Size,
@@ -99,7 +143,7 @@ func (b *Builder) Compute(u hw.Unit, p hw.Precision, ops int64, repeat int, read
 		b.fail("compute with %d ops", ops)
 		return
 	}
-	b.prog.Append(isa.Instr{
+	b.push(isa.Instr{
 		Kind:   isa.KindCompute,
 		Unit:   u,
 		Prec:   p,
@@ -115,7 +159,7 @@ func (b *Builder) Compute(u hw.Unit, p hw.Precision, ops int64, repeat int, read
 // computation, loop control), each performing ops INT32 operations.
 func (b *Builder) ScalarWork(n int, ops int64) {
 	for i := 0; i < n; i++ {
-		b.prog.Append(isa.Compute(hw.Scalar, hw.INT32, ops))
+		b.push(isa.Compute(hw.Scalar, hw.INT32, ops))
 	}
 }
 
@@ -129,17 +173,17 @@ func (b *Builder) NewEvent(from, to hw.Component) int {
 
 // Set emits a set_flag.
 func (b *Builder) Set(from, to hw.Component, event int) {
-	b.prog.Append(isa.SetFlag(from, to, event))
+	b.push(isa.SetFlag(from, to, event))
 }
 
 // Wait emits a wait_flag.
 func (b *Builder) Wait(from, to hw.Component, event int) {
-	b.prog.Append(isa.WaitFlag(from, to, event))
+	b.push(isa.WaitFlag(from, to, event))
 }
 
 // Barrier emits pipe_barrier(PIPE_ALL).
 func (b *Builder) Barrier() {
-	b.prog.Append(isa.BarrierAllInstr())
+	b.push(isa.BarrierAllInstr())
 }
 
 // StageSync separates two pipeline stages. With minimalSync it emits a
@@ -158,8 +202,15 @@ func (b *Builder) StageSync(from, to hw.Component, minimalSync bool) {
 // Program finalizes the build. The returned program owns its
 // instructions: it never shares an array with the builder's buffer, and
 // later calls on the builder do not change it. Each call returns the
-// stream emitted so far.
+// stream emitted so far. A comparing builder returns want itself when
+// the stream matched all of it.
 func (b *Builder) Program() (*isa.Program, error) {
+	if b.want != nil {
+		if b.n != len(b.want.Instrs) {
+			panic(mismatch{})
+		}
+		return b.want, nil
+	}
 	if b.err != nil {
 		b.release(nil)
 		return nil, b.err

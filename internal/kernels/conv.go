@@ -88,6 +88,12 @@ func (c *CubeConv) Supported() []Strategy {
 
 // Build implements Kernel.
 func (c *CubeConv) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return c.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (c *CubeConv) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if c.Tiles <= 0 || c.SubBlocks <= 0 || c.InTileBytes <= 0 || c.SubBytes <= 0 {
 		return nil, fmt.Errorf("kernels: %s: invalid specification", c.OpName)
 	}
@@ -95,7 +101,7 @@ func (c *CubeConv) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
 	if opts != c.BaselineOpts {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, c.OpName+"/"+variant)
+	b := newBuilder(chip, c.OpName+"/"+variant, want)
 	prec := c.CubePrec
 	cubeOps := c.CubeOpsPerSub
 	if opts.FastAlgorithm && c.FastCubeOpsPerSub > 0 {

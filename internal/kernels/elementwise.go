@@ -86,6 +86,12 @@ func (e *Elementwise) Supported() []Strategy {
 
 // Build implements Kernel.
 func (e *Elementwise) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return e.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (e *Elementwise) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if e.Elems <= 0 || e.TileElems <= 0 || e.ElemBytes <= 0 || len(e.Stages) == 0 {
 		return nil, fmt.Errorf("kernels: %s: invalid specification", e.OpName)
 	}
@@ -128,7 +134,7 @@ func (e *Elementwise) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
 	if opts != e.BaselineOpts {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, e.OpName+"/"+variant)
+	b := newBuilder(chip, e.OpName+"/"+variant, want)
 
 	// Buffer plan. P staging slots per tensor; the result either shares
 	// the first input's staging buffer (spatial dependency!) or gets its

@@ -98,6 +98,12 @@ func (f *FlashAttention) Supported() []Strategy {
 
 // Build implements Kernel.
 func (f *FlashAttention) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return f.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (f *FlashAttention) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if f.KVTiles <= 0 || f.QBytes <= 0 || f.KTileBytes <= 0 || f.VTileBytes <= 0 {
 		return nil, fmt.Errorf("kernels: %s: invalid specification", f.OpName)
 	}
@@ -105,7 +111,7 @@ func (f *FlashAttention) Build(chip *hw.Chip, opts Options) (*isa.Program, error
 	if opts != f.BaselineOpts {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, f.OpName+"/"+variant)
+	b := newBuilder(chip, f.OpName+"/"+variant, want)
 
 	p := 1
 	if opts.PingPong {
@@ -282,6 +288,12 @@ func (a *KVCacheAppend) Supported() []Strategy {
 
 // Build implements Kernel.
 func (a *KVCacheAppend) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return a.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (a *KVCacheAppend) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if a.Heads <= 0 || a.BytesPerHead <= 0 {
 		return nil, fmt.Errorf("kernels: %s: invalid specification", a.OpName)
 	}
@@ -289,7 +301,7 @@ func (a *KVCacheAppend) Build(chip *hw.Chip, opts Options) (*isa.Program, error)
 	if opts != a.BaselineOpts {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, a.OpName+"/"+variant)
+	b := newBuilder(chip, a.OpName+"/"+variant, want)
 
 	merge := opts.MergeFactor
 	if merge < 2 {

@@ -68,6 +68,12 @@ func (m *CubeMatMul) Supported() []Strategy {
 
 // Build implements Kernel.
 func (m *CubeMatMul) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return m.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (m *CubeMatMul) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if m.Steps <= 0 || m.InTileBytes <= 0 || m.WeightBytes <= 0 {
 		return nil, fmt.Errorf("kernels: %s: invalid specification", m.OpName)
 	}
@@ -75,7 +81,7 @@ func (m *CubeMatMul) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
 	if opts != m.BaselineOpts {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, m.OpName+"/"+variant)
+	b := newBuilder(chip, m.OpName+"/"+variant, want)
 
 	prec := hw.FP16
 	inBytes := m.InTileBytes

@@ -103,6 +103,12 @@ func (m *MoEDispatch) WithTileSize(n int64) Kernel {
 
 // Build implements Kernel.
 func (m *MoEDispatch) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return m.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (m *MoEDispatch) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	const elemBytes = 2
 	if m.Tokens <= 0 || m.Experts <= 0 || m.ElemsPerToken <= 0 || m.TileElems <= 0 {
 		return nil, fmt.Errorf("kernels: %s: invalid specification", m.OpName)
@@ -141,7 +147,7 @@ func (m *MoEDispatch) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
 	if opts != m.BaselineOpts {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, m.OpName+"/"+variant)
+	b := newBuilder(chip, m.OpName+"/"+variant, want)
 
 	p := slots
 	ubIn := make([]isa.Region, p)

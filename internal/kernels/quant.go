@@ -50,6 +50,12 @@ func (q *QuantMatMul) Supported() []Strategy { return []Strategy{LC} }
 
 // Build implements Kernel.
 func (q *QuantMatMul) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
+	return q.emit(chip, opts, nil)
+}
+
+// emit builds the program; with a non-nil want it only checks the
+// build against want (emitter).
+func (q *QuantMatMul) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa.Program, error) {
 	if q.Steps <= 0 || q.InTileBytes <= 0 || q.Int8OpsPerStep <= 0 {
 		return nil, fmt.Errorf("kernels: quant_matmul: invalid specification")
 	}
@@ -57,7 +63,7 @@ func (q *QuantMatMul) Build(chip *hw.Chip, opts Options) (*isa.Program, error) {
 	if opts.LowPrecision {
 		variant = "optimized"
 	}
-	b := NewBuilder(chip, q.Name()+"/"+variant)
+	b := newBuilder(chip, q.Name()+"/"+variant, want)
 
 	l1In := [2]isa.Region{b.Alloc(hw.L1, q.InTileBytes), b.Alloc(hw.L1, q.InTileBytes)}
 	l0a := b.Alloc(hw.L0A, q.InTileBytes)

@@ -166,14 +166,20 @@ func (s *searcher) build(st state) (*isa.Program, error) {
 	return s.o.Builds.Build(s.o.Chip, s.variants[st.tile], s.optsFor(st.mask))
 }
 
-// countExact charges one exact simulation of prog against the budget,
-// once per unique fingerprint (and per options flavour, so the
-// span-keeping pass simulations do not collide with plain ones).
-func (s *searcher) countExact(prog *isa.Program, spans bool) {
-	key := prog.Fingerprint()
+// exactKey is the budget key of one exact simulation of prog: its
+// fingerprint, per options flavour, so the span-keeping pass
+// simulations do not collide with plain ones.
+func exactKey(prog *isa.Program, spans bool) string {
 	if spans {
-		key = "spans|" + key
+		return "spans|" + prog.Fingerprint()
 	}
+	return prog.Fingerprint()
+}
+
+// countExact charges one exact simulation of prog against the budget,
+// once per unique exactKey.
+func (s *searcher) countExact(prog *isa.Program, spans bool) {
+	key := exactKey(prog, spans)
 	if !s.counted[key] {
 		s.counted[key] = true
 		s.exactSims++
@@ -181,14 +187,12 @@ func (s *searcher) countExact(prog *isa.Program, spans bool) {
 }
 
 // overBudget reports whether charging one more exact simulation of
-// prog would exceed the budget (an already-counted fingerprint is
-// free).
-func (s *searcher) overBudget(budget int, prog *isa.Program) bool {
+// prog would exceed the budget (an already-counted exactKey is free).
+func (s *searcher) overBudget(budget int, prog *isa.Program, spans bool) bool {
 	if budget <= 0 {
 		return false
 	}
-	key := prog.Fingerprint()
-	return !s.counted[key] && s.exactSims >= budget
+	return !s.counted[exactKey(prog, spans)] && s.exactSims >= budget
 }
 
 // confirm exact-simulates the states (already counted against the
@@ -231,10 +235,12 @@ func (a state) less(b state) bool {
 // state that builds the very same program — a no-op strategy bit, or a
 // tile whose merged copies reproduce a larger plain tile, can make many
 // states share one program, and the exhaustive reference's argmin
-// tie-break always lands on the lowest of them. Builds are memoized and
-// cost no exact simulations, so this keeps reports in parity without
-// touching the budget. Candidates are compared with Program.Equal, which
-// agrees with fingerprint equality and stops at the first difference.
+// tie-break always lands on the lowest of them. Candidates cost no exact
+// simulations, so this keeps reports in parity without touching the
+// budget. Each candidate is tested with BuildMemo.Matches, which
+// compares a memoized build or streams the build against the winner's
+// program, stopping at the first differing instruction; nothing is
+// stored.
 func (s *searcher) canonicalize(st state) state {
 	prog, err := s.build(st)
 	if err != nil {
@@ -242,12 +248,13 @@ func (s *searcher) canonicalize(st state) state {
 	}
 	full := uint32(1)<<uint(len(s.sup)) - 1
 	for mask := uint32(0); ; mask++ {
+		opts := s.optsFor(mask)
 		for t := range s.tiles {
 			cand := state{mask: mask, tile: t}
 			if cand == st {
 				return st
 			}
-			if p, err := s.build(cand); err == nil && p.Equal(prog) {
+			if s.o.Builds.Matches(s.o.Chip, s.variants[t], opts, prog) {
 				return cand
 			}
 		}
@@ -306,7 +313,7 @@ func (s *searcher) refinePasses(prog *isa.Program, raw float64, budget int) (pas
 		{hoisted, []string{passMinimalSync, passHoistLoads}},
 	}
 	for _, c := range candidates {
-		if s.overBudget(budget, c.prog) {
+		if s.overBudget(budget, c.prog, true) {
 			break
 		}
 		s.countExact(c.prog, true)
@@ -528,7 +535,7 @@ func (s *searcher) beamSearch(cfg SearchConfig) (*SearchResult, error) {
 			continue
 		}
 		seen[st] = true
-		if s.overBudget(budget, prog) {
+		if s.overBudget(budget, prog, false) {
 			res.BudgetExhausted = true
 			continue
 		}
@@ -608,7 +615,7 @@ func (s *searcher) beamSearch(cfg SearchConfig) (*SearchResult, error) {
 			if len(confirmStates) >= beam {
 				break
 			}
-			if s.overBudget(budget, c.prog) {
+			if s.overBudget(budget, c.prog, false) {
 				res.BudgetExhausted = true
 				break
 			}
@@ -663,7 +670,7 @@ func (s *searcher) beamSearch(cfg SearchConfig) (*SearchResult, error) {
 				if err != nil {
 					continue
 				}
-				if s.overBudget(budget, prog) {
+				if s.overBudget(budget, prog, false) {
 					res.BudgetExhausted = true
 					break
 				}

@@ -6,8 +6,11 @@ import (
 	"sort"
 	"testing"
 
+	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
+	"ascendperf/internal/isa"
 	"ascendperf/internal/kernels"
+	"ascendperf/internal/passes"
 )
 
 // tunableCorpus returns every Tunable in the registry, name-sorted.
@@ -137,5 +140,66 @@ func TestEpisodeWarmStart(t *testing.T) {
 	st := store.Stats()
 	if st.Writes == 0 || st.Hits == 0 {
 		t.Errorf("episode store counters look wrong: %+v", st)
+	}
+}
+
+// passNamedKernel builds one scalar instruction; with MinimalSync (RUS)
+// it returns what passes.MinimalSync makes of that baseline. The RUS
+// state's program is therefore the very program the pass refinement
+// tries first, already simulated plain by the search.
+type passNamedKernel struct{}
+
+func (passNamedKernel) Name() string                  { return "pass_named" }
+func (passNamedKernel) Baseline() kernels.Options     { return kernels.Options{} }
+func (passNamedKernel) Supported() []kernels.Strategy { return []kernels.Strategy{kernels.RUS} }
+
+func (passNamedKernel) Build(chip *hw.Chip, opts kernels.Options) (*isa.Program, error) {
+	b := kernels.NewBuilder(chip, "pass_named")
+	b.ScalarWork(1, 4)
+	p, err := b.Program()
+	if err != nil || !opts.MinimalSync {
+		return p, err
+	}
+	return passes.MinimalSync(chip, p)
+}
+
+// TestSearchPassRefinementRespectsBudget: a pass-refinement program
+// whose plain simulation the search already paid for is a new
+// span-keeping simulation, so at an exhausted budget the refinement
+// must stop instead of charging it.
+func TestSearchPassRefinementRespectsBudget(t *testing.T) {
+	const budget = 2
+	res, err := New(hw.TrainingChip()).Search(passNamedKernel{}, SearchConfig{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExactSims > budget {
+		t.Errorf("search issued %d exact sims over a budget of %d", res.ExactSims, budget)
+	}
+}
+
+// BenchmarkSearch times cold searches: each iteration tunes concat,
+// transpose, embedding_lookup and add_relu with a fresh Optimizer (an
+// empty build memo) against a fresh simulation cache, so it pays every
+// build, score, simulation and canonicalization a first search pays.
+func BenchmarkSearch(b *testing.B) {
+	defer engine.SetCacheCapacity(engine.DefaultCacheCapacity)
+	chip := hw.TrainingChip()
+	reg := kernels.Registry()
+	var ks []kernels.Kernel
+	for _, name := range []string{"concat", "transpose", "embedding_lookup", "add_relu"} {
+		ks = append(ks, reg[name])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		engine.SetCacheCapacity(engine.DefaultCacheCapacity)
+		b.StartTimer()
+		for _, k := range ks {
+			if _, err := New(chip).Search(k, SearchConfig{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

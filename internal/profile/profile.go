@@ -9,12 +9,11 @@
 //   - total operator time.
 //
 // A Profile is produced by the simulator and consumed by the roofline
-// analyzer. The package also exports traces in Chrome trace-event JSON and
-// CSV for inspection.
+// analyzer. The package also exports the span timeline as CSV for
+// inspection.
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
@@ -384,45 +383,6 @@ func (p *Profile) Gaps(c hw.Component) (count int, idle float64) {
 	return count, FromTicks(idleTicks)
 }
 
-// chromeEvent is one Chrome trace-event record ("X" complete events).
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-}
-
-// WriteChromeTrace emits the span timeline in minimal Chrome trace-event
-// JSON (load via chrome://tracing or Perfetto). Each component maps to a
-// thread lane. This is the quick bare-bones exporter; the internal/trace
-// package produces the full documented format (FORMATS.md §6) with named
-// tracks, flag-dependency flow arrows and the critical-path overlay.
-func (p *Profile) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, p.NumSpans())
-	for s := range p.Spans() {
-		name := s.Label
-		if name == "" {
-			name = s.Kind.String()
-		}
-		events = append(events, chromeEvent{
-			Name: name,
-			Cat:  s.Kind.String(),
-			Ph:   "X",
-			TS:   s.Start / 1000,
-			Dur:  s.Duration() / 1000,
-			PID:  1,
-			TID:  int(s.Comp),
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{events})
-}
-
 // WriteCSV emits the span timeline as CSV with a header row.
 func (p *Profile) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "index,component,kind,start_ns,end_ns,duration_ns,label"); err != nil {
@@ -460,34 +420,6 @@ func (p *Profile) Clone() *Profile {
 	}
 	q.Timeline = p.Timeline.Clone()
 	return &q
-}
-
-// Merge accumulates another profile into p as if the two programs ran
-// back-to-back count times: total time and busy times add (scaled by
-// count), as do byte and op counters. Spans are not merged (timelines of
-// distinct runs are not comparable).
-func (p *Profile) Merge(o *Profile, count int) {
-	if count <= 0 {
-		return
-	}
-	f := float64(count)
-	p.TotalTime += o.TotalTime * f
-	for c := range p.Busy {
-		p.Busy[c] += o.Busy[c] * f
-		p.InstrCount[c] += o.InstrCount[c] * count
-	}
-	for path, b := range o.PathBytes {
-		p.PathBytes[path] += b * int64(count)
-	}
-	for up, n := range o.PrecOps {
-		p.PrecOps[up] += n * int64(count)
-	}
-	for path, t := range o.PathBusy {
-		p.PathBusy[path] += t * f
-	}
-	for up, t := range o.PrecBusy {
-		p.PrecBusy[up] += t * f
-	}
 }
 
 // Validate checks internal consistency: spans within [0, TotalTime], busy

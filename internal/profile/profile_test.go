@@ -2,7 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -113,34 +112,6 @@ func TestSummaryContents(t *testing.T) {
 	}
 }
 
-func TestChromeTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			TID  int     `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(out.TraceEvents) != 4 {
-		t.Fatalf("events = %d, want 4", len(out.TraceEvents))
-	}
-	if out.TraceEvents[0].Name != "load-a" || out.TraceEvents[0].Dur != 0.4 {
-		t.Errorf("first event wrong: %+v", out.TraceEvents[0])
-	}
-	if out.TraceEvents[1].Name != "compute" {
-		t.Errorf("unlabeled span should use kind name, got %q", out.TraceEvents[1].Name)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sample().WriteCSV(&buf); err != nil {
@@ -155,46 +126,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "MTE-GM,transfer") {
 		t.Errorf("bad first row: %s", lines[1])
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := New("a")
-	a.TotalTime = 100
-	a.Busy[hw.CompVector] = 60
-	a.PathBytes[hw.PathGMToUB] = 10
-	a.PrecOps[hw.UnitPrec{Unit: hw.Vector, Prec: hw.FP16}] = 5
-	a.InstrCount[hw.CompVector] = 1
-
-	b := New("b")
-	b.TotalTime = 50
-	b.Busy[hw.CompVector] = 20
-	b.PathBytes[hw.PathGMToUB] = 4
-	b.PrecOps[hw.UnitPrec{Unit: hw.Vector, Prec: hw.FP16}] = 2
-	b.InstrCount[hw.CompVector] = 3
-
-	a.Merge(b, 3)
-	if a.TotalTime != 250 {
-		t.Errorf("merged total = %v, want 250", a.TotalTime)
-	}
-	if a.Busy[hw.CompVector] != 120 {
-		t.Errorf("merged busy = %v, want 120", a.Busy[hw.CompVector])
-	}
-	if a.PathBytes[hw.PathGMToUB] != 22 {
-		t.Errorf("merged bytes = %v, want 22", a.PathBytes[hw.PathGMToUB])
-	}
-	if a.PrecOps[hw.UnitPrec{Unit: hw.Vector, Prec: hw.FP16}] != 11 {
-		t.Errorf("merged ops wrong")
-	}
-	if a.InstrCount[hw.CompVector] != 10 {
-		t.Errorf("merged instr count = %d, want 10", a.InstrCount[hw.CompVector])
-	}
-
-	// Non-positive count is a no-op.
-	before := a.TotalTime
-	a.Merge(b, 0)
-	if a.TotalTime != before {
-		t.Error("merge with count 0 must not change profile")
 	}
 }
 

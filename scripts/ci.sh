@@ -86,13 +86,16 @@ echo "== simulation-reuse gate (one simulation per concurrent miss, exact caller
 # simulate its identical slice once, a panicking simulation must release
 # the callers waiting on it, an exact caller must never join an
 # estimate's flight, a coalesced request must still be answered
-# after its flight's leader disconnects, and kernel builds sharing the
-# pooled instruction buffers must never write into one another's.
+# after its flight's leader disconnects, kernel builds sharing the
+# pooled instruction buffers must never write into one another's, and a
+# comparing build (BuildMemo.Matches) must answer exactly what a full
+# build and Program.Equal answer, also while other goroutines share
+# its memo.
 go test -race -count=5 -run 'TestCacheCoalescesConcurrentMisses|TestCacheFlightPanicReleasesWaiters|TestExactCallerNeverGetsEstimate' ./internal/engine
 go test -race -count=5 -run 'TestOptimizeSimulatesEachProgramOnce' ./internal/opt
 go test -race -count=5 -run 'TestBalancedRun' ./internal/multicore
 go test -race -count=5 -run 'TestLeaderDisconnectKeepsFollowers' ./internal/serve
-go test -race -count=5 -run 'TestBuilderBuffer|TestBuilderConcurrentBuilds' ./internal/kernels
+go test -race -count=5 -run 'TestBuilderBuffer|TestBuilderConcurrentBuilds|TestMatches' ./internal/kernels
 
 echo "== fuzz (short budget) =="
 # A few seconds of coverage-guided fuzzing per target; long enough to
@@ -109,10 +112,10 @@ go test -run '^$' -fuzz FuzzWriteLabel -fuzztime 10s -fuzzminimizetime 5s ./inte
 
 echo "== benchmark smoke =="
 # Compile and execute every scheduler/engine/parser/critical-path/trace/
-# kernel-build benchmark for one iteration: catches benchmarks that no
+# kernel-build/search benchmark for one iteration: catches benchmarks that no
 # longer build or that fail at runtime, without paying for a real
 # measurement.
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate ./internal/isa ./internal/critpath ./internal/trace ./internal/kernels
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/engine ./internal/surrogate ./internal/isa ./internal/critpath ./internal/trace ./internal/kernels ./internal/opt
 
 echo "== parallel scaling smoke =="
 # The engine worker sweep: ascendbench -json errors out by itself if
