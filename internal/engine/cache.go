@@ -76,8 +76,8 @@ type cacheShard struct {
 }
 
 // chipFPs memoizes fingerprints per chip pointer for the cache keys;
-// chipFPCount bounds it so callers minting fresh chips per call
-// (multicore's per-core derivations) cannot grow it without limit.
+// chipFPCount bounds it so callers minting fresh chips per call cannot
+// grow it without limit.
 // Past the bound fingerprints are recomputed per call instead of
 // stored.
 var (

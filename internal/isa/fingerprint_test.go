@@ -19,11 +19,15 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestFingerprintGolden pins Program.Fingerprint values. Fingerprints
-// key the episode store on disk, so any change to the encoding orphans
-// every episode written before it: a drift here must be deliberate
-// (re-bless with `go test -run FingerprintGolden -update`) and
-// documented as an episode-format change.
+// TestFingerprintGolden pins Program.Fingerprint values: SHA-256 over
+// the compact encoding (name, instruction count, then per instruction
+// its kind, a presence mask and the non-zero fields as varints; see
+// Fingerprint). Fingerprints key the episode store on disk, so any
+// change to the encoding orphans every episode written before it: a
+// drift here must be deliberate (re-bless with
+// `go test -run FingerprintGolden -update`), documented as an
+// episode-format change, and paired with a new episode schema
+// (internal/opt/episodic.go) so stored episodes miss cleanly.
 func TestFingerprintGolden(t *testing.T) {
 	var buf bytes.Buffer
 	line := func(chip, name string, p *isa.Program) {
@@ -99,13 +103,19 @@ func TestFingerprintGolden(t *testing.T) {
 
 // BenchmarkFingerprint hashes a generated program of 2000 instructions
 // from scratch each iteration (a fresh Program, so the memo never hits).
+// It reports the time per instruction and the encoded bytes hashed per
+// instruction.
 func BenchmarkFingerprint(b *testing.B) {
 	src := check.GenProgram(hw.TrainingChip(), rand.New(rand.NewSource(1)), 2000)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &isa.Program{Name: src.Name, Instrs: src.Instrs}
 		_ = p.Fingerprint()
 	}
+	n := float64(src.Len())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/instr")
+	b.ReportMetric(float64(len(isa.Encode(src)))/n, "B/instr")
 }
 
 // mutateLeaf changes the leaf'th mutable leaf reachable from v (fields

@@ -15,6 +15,8 @@ package multicore
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
@@ -38,11 +40,50 @@ type Partitionable interface {
 // PerCoreChip derives the chip an individual core observes when the
 // operator occupies cores peers: on-chip buffers and compute are
 // private, but every GM-attached link's bandwidth is divided by the
-// core count.
+// core count. Repeat calls with the same chip pointer and core count
+// return the same derived chip, which, like every chip, must not be
+// modified.
 func PerCoreChip(chip *hw.Chip, cores int) *hw.Chip {
 	if cores < 1 {
 		cores = 1
 	}
+	key := perCoreKey{chip, cores}
+	if v, ok := perCoreChips.Load(key); ok {
+		return v.(*hw.Chip)
+	}
+	c := derivePerCore(chip, cores)
+	if nPerCoreChips.Load() < maxPerCoreChips {
+		v, loaded := perCoreChips.LoadOrStore(key, c)
+		if !loaded {
+			nPerCoreChips.Add(1)
+		}
+		return v.(*hw.Chip)
+	}
+	return c
+}
+
+// perCoreChips memoizes PerCoreChip per (base chip pointer, cores).
+// Graph scheduling derives its per-core chips on every request; sharing
+// one derived chip per pair keeps the memos keyed on chip pointers (the
+// engine's chip fingerprints, the simulator's compiled tables) at one
+// entry per pair instead of one per request. hw.Chip is immutable after
+// construction, the contract those memos already rely on. The count
+// bound caps it for callers that synthesize many base chips, which then
+// get fresh, uncached derivations.
+var (
+	perCoreChips  sync.Map // perCoreKey -> *hw.Chip
+	nPerCoreChips atomic.Int64
+)
+
+const maxPerCoreChips = 1024
+
+type perCoreKey struct {
+	chip  *hw.Chip
+	cores int
+}
+
+// derivePerCore builds the per-core view of chip for PerCoreChip.
+func derivePerCore(chip *hw.Chip, cores int) *hw.Chip {
 	c := *chip
 	c.Paths = make(map[hw.Path]hw.PathSpec, len(chip.Paths))
 	for path, spec := range chip.Paths {

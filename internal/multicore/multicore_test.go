@@ -2,7 +2,9 @@ package multicore
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ascendperf/internal/engine"
@@ -28,6 +30,37 @@ func TestPerCoreChipSharesGMOnly(t *testing.T) {
 	}
 	if PerCoreChip(chip, 0).Paths[hw.PathGMToUB].Bandwidth != chip.Paths[hw.PathGMToUB].Bandwidth {
 		t.Error("cores < 1 must clamp to 1")
+	}
+}
+
+// TestPerCoreChipShared: concurrent derivations for one (chip, cores)
+// pair return one chip, equal to a fresh derivation; another core count
+// or base chip gets its own.
+func TestPerCoreChipShared(t *testing.T) {
+	chip := hw.TrainingChip()
+	got := make([]*hw.Chip, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = PerCoreChip(chip, 4)
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("derivation %d returned a different chip", i)
+		}
+	}
+	if !reflect.DeepEqual(got[0], derivePerCore(chip, 4)) {
+		t.Error("shared per-core chip differs from a fresh derivation")
+	}
+	if PerCoreChip(chip, 2) == got[0] || PerCoreChip(hw.TrainingChip(), 4) == got[0] {
+		t.Error("a different core count or base chip shares the derived chip")
+	}
+	if PerCoreChip(chip, 0) != PerCoreChip(chip, 1) {
+		t.Error("cores 0 and 1 derive different chips")
 	}
 }
 

@@ -19,8 +19,10 @@ import (
 	"sync/atomic"
 )
 
-// episodeSchema versions the on-disk episode format.
-const episodeSchema = "ascendperf/episodes/v1"
+// episodeSchema versions the on-disk episode format. v2 keys embed the
+// compact program fingerprint (isa.Program.Fingerprint); a v1 file is a
+// miss, never read as a v2 episode.
+const episodeSchema = "ascendperf/episodes/v2"
 
 // Episode is one persisted best-known candidate.
 type Episode struct {

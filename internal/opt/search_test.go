@@ -3,7 +3,10 @@ package opt
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"ascendperf/internal/engine"
@@ -140,6 +143,63 @@ func TestEpisodeWarmStart(t *testing.T) {
 	st := store.Stats()
 	if st.Writes == 0 || st.Hits == 0 {
 		t.Errorf("episode store counters look wrong: %+v", st)
+	}
+}
+
+// TestEpisodeV1IsMissed: episodes written under the v1 schema keyed
+// their base program by the fixed-width fingerprint encoding. A v1 file
+// for the same kernel, holding that kernel's true winner, must be
+// missed rather than misread, wherever it lies: under a v1 key (the
+// current key text with the v1 schema tag), or under the current key's
+// file name with the current key text. The
+// search must then run cold, return exactly what a store-less search
+// returns, and replace the file with a current episode.
+func TestEpisodeV1IsMissed(t *testing.T) {
+	const v1 = "ascendperf/episodes/v1"
+	chip := hw.TrainingChip()
+	k := kernels.Registry()["add_relu"]
+	plain, err := New(chip).Search(k, SearchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewEpisodeStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := newSearcher(New(chip), k).episodeKey(SearchConfig{})
+	if !ok || !strings.HasPrefix(key, episodeSchema+"|") {
+		t.Fatalf("episode key %q does not start with the schema %q", key, episodeSchema)
+	}
+	v1Key := v1 + strings.TrimPrefix(key, episodeSchema)
+	for file, epKey := range map[string]string{store.path(v1Key): v1Key, store.path(key): key} {
+		data, err := json.Marshal(&Episode{
+			Schema: v1, Key: epKey, Kernel: plain.Kernel,
+			Strategies: plain.Strategies, TileSize: plain.TileSize, Passes: plain.Passes,
+			BaselineNS: plain.BaselineNS, RawBestNS: plain.RawBestNS, BestNS: plain.BestNS,
+			ExactSims: plain.ExactSims, Generations: plain.Generations,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := New(chip).Search(k, SearchConfig{Episodes: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.WarmStart {
+		t.Fatal("a v1 episode warm-started the search")
+	}
+	if !reflect.DeepEqual(got, plain) {
+		t.Fatalf("search over a v1 store returned %+v, store-less search %+v", got, plain)
+	}
+	if st := store.Stats(); st.Hits != 0 || st.Misses != 1 || st.Writes != 1 {
+		t.Fatalf("store counters %+v, want 0 hits, 1 miss, 1 write", st)
+	}
+	if ep := store.Load(key); ep == nil || ep.Schema != episodeSchema {
+		t.Fatalf("the v1 file was not replaced by a %s episode: %+v", episodeSchema, ep)
 	}
 }
 

@@ -52,6 +52,9 @@ type Model struct {
 	// Resolved gate-feature indexes (by name, so feature-order changes
 	// surface as load errors instead of silent mis-gating).
 	critIdx, serialIdx, maxBusyIdx, dispatchIdx int
+	// lo/hi are the range gate's per-feature bounds, resolved once
+	// instead of recomputing each feature's margin on every Predict.
+	lo, hi []float64
 }
 
 // resolve locates the gate features and validates arity.
@@ -93,6 +96,11 @@ func (m *Model) resolve() error {
 		}
 		*g.dst = i
 	}
+	m.lo, m.hi = make([]float64, d), make([]float64, d)
+	for j := range d {
+		margin := m.RangeMargin*(m.Max[j]-m.Min[j]) + 1e-9
+		m.lo[j], m.hi[j] = m.Min[j]-margin, m.Max[j]+margin
+	}
 	return nil
 }
 
@@ -104,11 +112,30 @@ func transform(v float64) float64 { return math.Log1p(v) }
 
 // rawPredict is the ungated estimate in nanoseconds.
 func (m *Model) rawPredict(f []float64) float64 {
-	z := m.Intercept
-	for j, v := range f {
-		z += m.Weights[j] * (transform(v) - m.Mean[j]) / m.Std[j]
-	}
+	z, _ := m.logEstimate(f)
 	return math.Exp(z)
+}
+
+// logEstimate returns the ungated log-makespan estimate for f and
+// whether every feature lies inside the range gate, in one pass.
+// Zero features (about half of a typical vector) skip the transform:
+// log1p(±0) is ±0, so the estimate is bit-identical either way.
+func (m *Model) logEstimate(f []float64) (z float64, inRange bool) {
+	// Reslicing to len(f) lets the compiler drop per-element bounds checks.
+	w, mean, std := m.Weights[:len(f)], m.Mean[:len(f)], m.Std[:len(f)]
+	lo, hi := m.lo[:len(f)], m.hi[:len(f)]
+	z, inRange = m.Intercept, true
+	for j, v := range f {
+		if v < lo[j] || v > hi[j] {
+			inRange = false
+		}
+		t := v
+		if v != 0 {
+			t = transform(v)
+		}
+		z += w[j] * (t - mean[j]) / std[j]
+	}
+	return z, inRange
 }
 
 // Predict estimates the makespan of a program with feature vector f,
@@ -132,14 +159,11 @@ func (m *Model) Predict(f []float64) (float64, bool) {
 	if len(f) != len(m.Mean) {
 		return 0, false
 	}
-	for j, v := range f {
-		span := m.Max[j] - m.Min[j]
-		margin := m.RangeMargin*span + 1e-9
-		if v < m.Min[j]-margin || v > m.Max[j]+margin {
-			return 0, false
-		}
+	z, inRange := m.logEstimate(f)
+	if !inRange {
+		return 0, false
 	}
-	pred := m.rawPredict(f)
+	pred := math.Exp(z)
 	if math.IsNaN(pred) || math.IsInf(pred, 0) || pred <= 0 {
 		return 0, false
 	}

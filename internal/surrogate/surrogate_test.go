@@ -147,6 +147,54 @@ func TestCommittedModel(t *testing.T) {
 	}
 }
 
+// TestPredictMatchesReferenceFormula: Predict's one-pass hot path
+// (resolved range bounds, zero features skipping the transform) must
+// reproduce the model's defining formula and gate bit for bit, so the
+// committed model's accept decisions and estimates cannot drift.
+func TestPredictMatchesReferenceFormula(t *testing.T) {
+	m, err := LoadModel("../../MODEL_surrogate.json")
+	if os.IsNotExist(err) {
+		t.Skip("no committed model")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := func(f []float64) (float64, bool) {
+		for j, v := range f {
+			margin := m.RangeMargin*(m.Max[j]-m.Min[j]) + 1e-9
+			if v < m.Min[j]-margin || v > m.Max[j]+margin {
+				return 0, false
+			}
+		}
+		z := m.Intercept
+		for j, v := range f {
+			z += m.Weights[j] * (math.Log1p(v) - m.Mean[j]) / m.Std[j]
+		}
+		return math.Exp(z), true
+	}
+	inRange := 0
+	for _, s := range corpusSamples(t) {
+		want, wantIn := reference(s.Features)
+		z, gotIn := m.logEstimate(s.Features)
+		if gotIn != wantIn {
+			t.Fatalf("%s: range gate %v, reference %v", s.Name, gotIn, wantIn)
+		}
+		if !wantIn {
+			continue
+		}
+		inRange++
+		if got := math.Exp(z); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: estimate %v, reference %v", s.Name, got, want)
+		}
+		if est, ok := m.Predict(s.Features); ok && est != want {
+			t.Fatalf("%s: Predict %v, reference %v", s.Name, est, want)
+		}
+	}
+	if inRange == 0 {
+		t.Fatal("no corpus case inside the range gate")
+	}
+}
+
 // TestFitRejectsBadSamples: arity and target validation.
 func TestFitRejectsBadSamples(t *testing.T) {
 	if _, err := Fit([]Sample{{Features: []float64{1}, TotalNS: 1}}, 0); err == nil {

@@ -106,6 +106,7 @@ go test -run '^$' -fuzz FuzzVerifySchedule -fuzztime 10s -fuzzminimizetime 5s ./
 go test -run '^$' -fuzz FuzzDiff -fuzztime 10s -fuzzminimizetime 5s ./internal/check
 go test -run '^$' -fuzz FuzzExtract -fuzztime 10s -fuzzminimizetime 5s ./internal/surrogate
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 5s ./internal/isa
+go test -run '^$' -fuzz FuzzFingerprint -fuzztime 10s -fuzzminimizetime 5s ./internal/isa
 go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 5s ./internal/serve
 go test -run '^$' -fuzz FuzzDecodeSimulate -fuzztime 10s -fuzzminimizetime 5s ./internal/serve
 go test -run '^$' -fuzz FuzzWriteLabel -fuzztime 10s -fuzzminimizetime 5s ./internal/trace
