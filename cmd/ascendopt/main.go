@@ -31,7 +31,6 @@ import (
 	"ascendperf/internal/opt"
 	"ascendperf/internal/passes"
 	"ascendperf/internal/sim"
-	"ascendperf/internal/surrogate"
 	"ascendperf/internal/viz"
 )
 
@@ -99,11 +98,10 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "run the full pipeline: strategies, tile tuning, program passes")
 		workers   = flag.Int("workers", 0, "parallel analysis workers (0 = ASCENDPERF_WORKERS or GOMAXPROCS)")
 		cacheCap  = flag.Int("cache", engine.DefaultCacheCapacity, "simulation cache capacity in entries (0 disables)")
-		search    = flag.Bool("search", false, "tune by surrogate-guided beam search instead of the greedy loop; alone it sweeps every registry operator, with -op just that one")
+		search    = flag.Bool("search", false, "tune by beam search (candidates ranked by the critical-path proxy, the best confirmed by exact simulation) instead of the greedy loop; alone it sweeps every registry operator, with -op just that one")
 		beam      = flag.Int("beam", opt.DefaultBeam, "with -search: beam width (exact confirmations per generation)")
 		budget    = flag.Int("budget", opt.DefaultBudget, "with -search: cap on exact simulations per kernel (0 = unlimited)")
 		episodes  = flag.String("episodes", "", "with -search: episodic-memory directory (default ASCENDPERF_EPISODE_DIR); repeat runs warm-start from stored winners")
-		surrPath  = flag.String("surrogate", "", "with -search: learned surrogate model (ascendfit train output) used to score beam candidates behind its confidence gate")
 		jsonPath  = flag.String("json", "", "with -search: write the search report (FORMATS.md §11) as JSON to this path instead of the table (- = stdout)")
 		maxFrac   = flag.Float64("maxexactfrac", 0, "with -search: also run the exhaustive reference and fail unless every best matches and search sims <= frac * exhaustive sims (CI parity gate)")
 		minWarm   = flag.Float64("minwarmsaving", 0, "with -search -episodes: run the table twice and fail unless the warm pass saves at least this fraction of exact sims (CI warm-start gate)")
@@ -117,7 +115,7 @@ func main() {
 	engine.SetWorkers(*workers)
 	engine.SetCacheCapacity(*cacheCap)
 	if *search {
-		if err := runSearch(*opName, *chipName, *beam, *budget, *episodes, *surrPath, *jsonPath, *maxFrac, *minWarm); err != nil {
+		if err := runSearch(*opName, *chipName, *beam, *budget, *episodes, *jsonPath, *maxFrac, *minWarm); err != nil {
 			fmt.Fprintln(os.Stderr, "ascendopt:", err)
 			os.Exit(1)
 		}
@@ -166,20 +164,13 @@ func searchPass(chip *hw.Chip, ks []kernels.Kernel, cfg opt.SearchConfig) (*opt.
 }
 
 // runSearch implements -search: beam-search tuning of one operator or
-// the whole registry, with optional surrogate scoring, episodic memory,
-// JSON report output, and the two CI gates (-maxexactfrac parity,
-// -minwarmsaving warm-start saving).
-func runSearch(opName, chipName string, beam, budget int, episodeDir, surrPath, jsonPath string, maxFrac, minWarm float64) error {
+// the whole registry, with optional episodic memory, JSON report
+// output, and the two CI gates (-maxexactfrac parity, -minwarmsaving
+// warm-start saving).
+func runSearch(opName, chipName string, beam, budget int, episodeDir, jsonPath string, maxFrac, minWarm float64) error {
 	chip, err := cliutil.ChipByName(chipName)
 	if err != nil {
 		return err
-	}
-	if surrPath != "" {
-		m, err := surrogate.LoadModel(surrPath)
-		if err != nil {
-			return err
-		}
-		engine.SetPredictor(surrogate.NewPredictor(m, ""))
 	}
 	cfg := opt.SearchConfig{Beam: beam, Budget: budget}
 	if episodeDir != "" {
@@ -227,9 +218,8 @@ func runSearch(opName, chipName string, beam, budget int, episodeDir, surrPath, 
 				r.Kernel, r.BaselineNS/1000, r.BestNS/1000, r.Speedup,
 				r.ExactSims, r.EvalsSaved, warm, r.Strategies)
 		}
-		fmt.Printf("total: %d exact sims, %d evals saved, %d surrogate-scored, %d proxy-scored, %d warm starts\n",
-			report.TotalExactSims, report.TotalEvalsSaved,
-			report.TotalSurrogateScored, report.TotalProxyScored, report.WarmStarts)
+		fmt.Printf("total: %d exact sims, %d evals saved, %d proxy-scored, %d warm starts\n",
+			report.TotalExactSims, report.TotalEvalsSaved, report.TotalProxyScored, report.WarmStarts)
 	}
 
 	if maxFrac > 0 {

@@ -7,7 +7,8 @@
 //	ascendprof -op add_relu [-chip training|inference|tpu] [-optimized]
 //	           [-timeline] [-naive] [-critpath] [-trace out.json]
 //	           [-metrics] [-metricsjson m.json] [-csv out.csv] [-disasm]
-//	           [-save profile.json] [-html report.html] [-cache N]
+//	           [-save profile.json] [-html report.html] [-svg roofline.svg]
+//	           [-cache N]
 //	ascendprof -analyze profile.json [-diff other.json] [-chip ...]
 //	ascendprof -asm program.txt [-chip ...]
 //	ascendprof -checktrace trace.json
@@ -16,10 +17,12 @@
 // Perfetto/chrome://tracing timeline (FORMATS.md §6) with one track per
 // component queue, flow arrows for flag dependencies and the critical
 // path highlighted; -metrics prints the per-component
-// busy/wait/idle decomposition; -checktrace validates an emitted trace
-// against the schema. Simulations run through the internal/engine
-// memoization cache; span retention (KeepSpans) is part of the cache
-// key, so traced runs never force span storage onto untraced ones.
+// busy/wait/idle decomposition; -svg writes the component-based
+// roofline chart (Fig. 6/7 style) as a standalone SVG document;
+// -checktrace validates an emitted trace against the schema.
+// Simulations run through the internal/engine memoization cache; span
+// retention (KeepSpans) is part of the cache key, so traced runs never
+// force span storage onto untraced ones.
 package main
 
 import (
@@ -52,7 +55,7 @@ type runOpts struct {
 	optimized, timeline, naive             bool
 	disasm, critPath, metrics              bool
 	tracePath, csvPath, savePath, htmlPath string
-	metricsJSON                            string
+	metricsJSON, svgPath                   string
 }
 
 func main() {
@@ -79,6 +82,7 @@ func main() {
 	flag.StringVar(&o.metricsJSON, "metricsjson", "", "write the per-component metrics report as JSON")
 	flag.StringVar(&o.savePath, "save", "", "write the raw profile as JSON for offline analysis")
 	flag.StringVar(&o.htmlPath, "html", "", "write a self-contained HTML report")
+	flag.StringVar(&o.svgPath, "svg", "", "write the component-based roofline chart as an SVG document")
 	flag.StringVar(&o.asm, "asm", "", "profile a hand-written program file (Disassemble format) instead of a library operator")
 	flag.Parse()
 	if *version {
@@ -361,6 +365,12 @@ func run(o runOpts) error {
 			return err
 		}
 		fmt.Println("wrote", o.htmlPath)
+	}
+	if o.svgPath != "" {
+		if err := os.WriteFile(o.svgPath, []byte(viz.BuildChart(a).SVG()), 0o644); err != nil {
+			return err
+		}
+		fmt.Println("wrote", o.svgPath)
 	}
 	return nil
 }

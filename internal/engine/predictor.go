@@ -57,22 +57,3 @@ func SimulateApprox(chip *hw.Chip, prog *isa.Program, opts sim.Options) (*profil
 	}
 	return simulate(defaultCache.Load(), chip, prog, opts, pred)
 }
-
-// PredictOnly asks the installed surrogate predictor for a gated
-// makespan estimate of prog on chip and reports whether the confidence
-// gate accepted. Unlike SimulateApprox it never consults the cache
-// tiers and never falls back to the exact simulator — callers that
-// only need a cheap deterministic ranking signal (the beam search's
-// generation scoring) use it so their decisions are independent of
-// cache warmth. Returns (0, false) when no predictor is installed.
-func PredictOnly(chip *hw.Chip, prog *isa.Program) (float64, bool) {
-	pp := predictor.Load()
-	if pp == nil {
-		return 0, false
-	}
-	p, ok := (*pp).Predict(chip, prog, sim.Options{})
-	if !ok || p == nil {
-		return 0, false
-	}
-	return p.TotalTime, true
-}

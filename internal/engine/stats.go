@@ -37,7 +37,7 @@ type Snapshot struct {
 	// cache warmth.
 	SearchSearches        uint64 `json:"search_searches" metric:"ascendd_search_searches_total" kind:"counter" help:"Beam searches completed (optimize with search)."`
 	SearchExactSims       uint64 `json:"search_exact_sims" metric:"ascendd_search_exact_sims_total" kind:"counter" help:"Exact simulations issued by searches."`
-	SearchSurrogateScored uint64 `json:"search_surrogate_scored" metric:"ascendd_search_surrogate_scored_total" kind:"counter" help:"Beam candidates scored by the learned surrogate."`
+	SearchSurrogateScored uint64 `json:"search_surrogate_scored" metric:"ascendd_search_surrogate_scored_total" kind:"counter" help:"Always 0: beam candidates are ranked by the critical-path proxy alone; kept for wire compatibility."`
 	SearchProxyScored     uint64 `json:"search_proxy_scored" metric:"ascendd_search_proxy_scored_total" kind:"counter" help:"Beam candidates scored by the static critical-path proxy."`
 	SearchEvalsSaved      uint64 `json:"search_evals_saved" metric:"ascendd_search_evals_saved_total" kind:"counter" help:"Scored candidates never confirmed exactly."`
 	SearchWarmHits        uint64 `json:"search_warm_hits" metric:"ascendd_search_warm_hits_total" kind:"counter" help:"Searches answered from the episodic memory."`

@@ -3,11 +3,10 @@
 // subset × tile size; this file implements the middle ground the
 // AscendOptimizer line of work argues for (PAPERS.md): a deterministic
 // beam search where each generation of candidates is *scored* cheaply
-// — by the learned surrogate when its confidence gate accepts, by the
-// static critical-path proxy otherwise — and only the top-of-beam
-// survivors are *confirmed* through the exact parallel engine. The
-// episode store (episodic.go) persists each winner so repeat runs
-// warm-start with two or three verification simulations.
+// by the static critical-path proxy and only the top-of-beam survivors
+// are *confirmed* through the exact parallel engine. The episode store
+// (episodic.go) persists each winner so repeat runs warm-start with two
+// or three verification simulations.
 package opt
 
 import (
@@ -94,13 +93,12 @@ type SearchResult struct {
 	// ExactSims counts unique exact simulations requested, dedup'd by
 	// program fingerprint within this search.
 	ExactSims int `json:"exact_sims"`
-	// SurrogateScored / ProxyScored split the cheap generation scoring
-	// by scorer; EvalsSaved counts scored children never confirmed
-	// exactly (on warm start: the recorded cold cost minus the warm
-	// verification cost).
-	SurrogateScored int `json:"surrogate_scored"`
-	ProxyScored     int `json:"proxy_scored"`
-	EvalsSaved      int `json:"evals_saved"`
+	// ProxyScored counts children ranked by the critical-path proxy;
+	// EvalsSaved counts scored children never confirmed exactly (on
+	// warm start: the recorded cold cost minus the warm verification
+	// cost).
+	ProxyScored int `json:"proxy_scored"`
+	EvalsSaved  int `json:"evals_saved"`
 	// WarmStart reports the episode store answered this search.
 	WarmStart bool `json:"warm_start"`
 	// BudgetExhausted reports the search stopped on its exact-sim cap.
@@ -127,7 +125,7 @@ type searcher struct {
 	counted   map[string]bool // exact-sim fingerprints already counted
 	exactSims int
 
-	surrogateScored, proxyScored, evalsSaved int
+	proxyScored, evalsSaved int
 }
 
 func newSearcher(o *Optimizer, k kernels.Kernel) *searcher {
@@ -207,19 +205,6 @@ func (s *searcher) confirm(states []state) ([]float64, error) {
 		}
 		return prof.TotalTime, nil
 	})
-}
-
-// cheapScore ranks one candidate program without the exact engine:
-// the gated surrogate estimate when a predictor is installed and its
-// confidence gate accepts, the static critical-path proxy otherwise.
-// Both are deterministic functions of (chip, program).
-func (s *searcher) cheapScore(prog *isa.Program) float64 {
-	if est, ok := engine.PredictOnly(s.o.Chip, prog); ok {
-		s.surrogateScored++
-		return est
-	}
-	s.proxyScored++
-	return critpath.Proxy(s.o.Chip, prog)
 }
 
 // less is the canonical state order used for every tie-break: lower
@@ -347,12 +332,13 @@ func (s *searcher) episodeKey(cfg SearchConfig) (string, bool) {
 	return key, true
 }
 
-// Search tunes one kernel by surrogate-guided beam search over the
-// joint strategy × tile space, followed by the program-pass
-// refinement. The search is deterministic: candidate generation,
-// scoring, tie-breaks and budget accounting are canonical functions of
-// (chip, kernel, config), independent of worker count and cache
-// warmth, so two runs produce byte-identical results. Completed
+// Search tunes one kernel by beam search over the joint strategy ×
+// tile space, candidates ranked by the critical-path proxy, followed by
+// the program-pass refinement. The search is deterministic: candidate
+// generation, scoring, tie-breaks and budget accounting are canonical
+// functions of (chip, kernel, config), independent of worker count,
+// cache warmth and any installed engine.Predictor, so two runs produce
+// byte-identical results. Completed
 // searches add to the search_* counters of engine.Live and persist
 // their winner to the episode store (when one is configured) so a
 // repeat run warm-starts.
@@ -383,7 +369,6 @@ func (o *Optimizer) Search(k kernels.Kernel, cfg SearchConfig) (*SearchResult, e
 		return nil, err
 	}
 	atomic.AddUint64(&live.SearchExactSims, uint64(res.ExactSims))
-	atomic.AddUint64(&live.SearchSurrogateScored, uint64(res.SurrogateScored))
 	atomic.AddUint64(&live.SearchProxyScored, uint64(res.ProxyScored))
 	atomic.AddUint64(&live.SearchEvalsSaved, uint64(res.EvalsSaved))
 	if store != nil && epKey != "" && !res.BudgetExhausted {
@@ -597,9 +582,13 @@ func (s *searcher) beamSearch(cfg SearchConfig) (*SearchResult, error) {
 			break
 		}
 		res.Generations = gen
+		// Score by the static critical-path proxy: a function of
+		// (chip, program) alone, so the ranking never depends on cache
+		// warmth or on an installed engine.Predictor.
 		for i := range children {
-			children[i].score = s.cheapScore(children[i].prog)
+			children[i].score = critpath.Proxy(s.o.Chip, children[i].prog)
 		}
+		s.proxyScored += len(children)
 		sort.Slice(children, func(i, j int) bool {
 			if children[i].score != children[j].score {
 				return children[i].score < children[j].score
@@ -709,7 +698,6 @@ func (s *searcher) beamSearch(cfg SearchConfig) (*SearchResult, error) {
 	}
 	res.Speedup = res.BaselineNS / res.BestNS
 	res.ExactSims = s.exactSims
-	res.SurrogateScored = s.surrogateScored
 	res.ProxyScored = s.proxyScored
 	res.EvalsSaved = s.evalsSaved
 	return res, nil
@@ -859,15 +847,14 @@ type SearchReport struct {
 	Budget  int             `json:"budget"`
 	Kernels []*SearchResult `json:"kernels"`
 	// Totals over Kernels.
-	TotalExactSims       int `json:"total_exact_sims"`
-	TotalEvalsSaved      int `json:"total_evals_saved"`
-	TotalSurrogateScored int `json:"total_surrogate_scored"`
-	TotalProxyScored     int `json:"total_proxy_scored"`
-	WarmStarts           int `json:"warm_starts"`
+	TotalExactSims   int `json:"total_exact_sims"`
+	TotalEvalsSaved  int `json:"total_evals_saved"`
+	TotalProxyScored int `json:"total_proxy_scored"`
+	WarmStarts       int `json:"warm_starts"`
 }
 
 // SearchReportSchema versions the ascendopt -search -json payload.
-const SearchReportSchema = "ascendperf/search-report/v1"
+const SearchReportSchema = "ascendperf/search-report/v2"
 
 // NewSearchReport assembles a report from per-kernel results, sorting
 // by kernel name and filling the aggregates.
@@ -883,7 +870,6 @@ func NewSearchReport(chip string, cfg SearchConfig, results []*SearchResult) *Se
 	for _, k := range r.Kernels {
 		r.TotalExactSims += k.ExactSims
 		r.TotalEvalsSaved += k.EvalsSaved
-		r.TotalSurrogateScored += k.SurrogateScored
 		r.TotalProxyScored += k.ProxyScored
 		if k.WarmStart {
 			r.WarmStarts++

@@ -9,11 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"ascendperf/internal/critpath"
 	"ascendperf/internal/engine"
 	"ascendperf/internal/hw"
 	"ascendperf/internal/isa"
 	"ascendperf/internal/kernels"
 	"ascendperf/internal/passes"
+	"ascendperf/internal/profile"
+	"ascendperf/internal/sim"
 )
 
 // tunableCorpus returns every Tunable in the registry, name-sorted.
@@ -100,6 +103,57 @@ func TestSearchDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(reports[0], reports[1]) {
 			t.Errorf("%s: workers=1 and workers=8 reports differ:\n%s\n%s", name, reports[0], reports[1])
+		}
+	}
+}
+
+// reversingPredictor accepts every case with an estimate that reverses
+// the critical-path proxy's ranking: the program the proxy scores
+// slowest is predicted fastest.
+type reversingPredictor struct{}
+
+func (reversingPredictor) Predict(chip *hw.Chip, prog *isa.Program, _ sim.Options) (*profile.Profile, bool) {
+	return &profile.Profile{Name: prog.Name, TotalTime: 1e15 - critpath.Proxy(chip, prog)}, true
+}
+
+func (reversingPredictor) RecordExact(*hw.Chip, *isa.Program, *profile.Profile) {}
+
+// TestSearchIgnoresPredictor: a search is a function of (chip, kernel,
+// beam, budget) alone, so an installed predictor — here one that
+// always accepts and ranks candidates backwards — must not change a
+// single byte of any result.
+func TestSearchIgnoresPredictor(t *testing.T) {
+	chip := hw.TrainingChip()
+	reg := kernels.Registry()
+	names := make([]string, 0, len(reg))
+	for n := range reg {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	searchAll := func() [][]byte {
+		var out [][]byte
+		for _, n := range names {
+			for _, beam := range []int{1, DefaultBeam} {
+				res, err := New(chip).Search(reg[n], SearchConfig{Beam: beam})
+				if err != nil {
+					t.Fatalf("%s beam=%d: %v", n, beam, err)
+				}
+				data, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, data)
+			}
+		}
+		return out
+	}
+	want := searchAll()
+	engine.SetPredictor(reversingPredictor{})
+	defer engine.SetPredictor(nil)
+	got := searchAll()
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("result changed with a predictor installed:\n got: %s\nwant: %s", got[i], want[i])
 		}
 	}
 }

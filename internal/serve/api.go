@@ -139,7 +139,7 @@ type RooflineResponse struct {
 }
 
 // OptimizeRequest runs the advisor-driven optimization loop on one
-// operator — or, with Search, the surrogate-guided beam search. The
+// operator — or, with Search, the beam search of internal/opt. The
 // search fields may also arrive as query parameters
 // (?search=1&beam=N&budget=M); the server folds them into the body
 // before parsing so the coalescing key covers them.

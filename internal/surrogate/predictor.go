@@ -72,8 +72,11 @@ func (p *Predictor) Model() *Model { return p.model }
 
 // static returns the memoized static analysis for (chip, prog) along
 // with the (chip fingerprint, program fingerprint) memo key, which
-// doubles as the training-log dedup key.
+// doubles as the training-log dedup key. The program fingerprint is
+// computed before taking p.mu, so concurrent predictions do not
+// serialize on hashing their programs.
 func (p *Predictor) static(chip *hw.Chip, prog *isa.Program) (*Static, string) {
+	progFP := prog.Fingerprint()
 	p.mu.Lock()
 	fp, ok := p.chipFPs[chip]
 	if !ok {
@@ -87,7 +90,7 @@ func (p *Predictor) static(chip *hw.Chip, prog *isa.Program) (*Static, string) {
 		}
 		p.chipFPs[chip] = fp
 	}
-	key := fp + "|" + prog.Fingerprint()
+	key := fp + "|" + progFP
 	if st, ok := p.memo[key]; ok {
 		p.mu.Unlock()
 		return st, key

@@ -44,14 +44,15 @@ rm -rf "$surrdir"
 
 echo "== search parity + warm-start gates =="
 # The beam-search gate (FORMATS.md §11): over the full kernel registry,
-# the surrogate-guided beam search must reproduce the exhaustive joint
-# tuner's winner on every kernel while spending at most 50% of its
-# exact simulations (-maxexactfrac), and a second pass against the
-# episode directory the cold pass just wrote must warm-start every
-# kernel and save at least 80% of the cold pass's exact simulations
-# (-minwarmsaving). Either a wrong answer or eroded savings fails CI.
+# the beam search, its candidates ranked by the critical-path proxy,
+# must reproduce the exhaustive joint tuner's winner on every kernel
+# while spending at most 50% of its exact simulations (-maxexactfrac),
+# and a second pass against the episode directory the cold pass just
+# wrote must warm-start every kernel and save at least 80% of the cold
+# pass's exact simulations (-minwarmsaving). Either a wrong answer or
+# eroded savings fails CI.
 searchdir="$(mktemp -d)"
-go run ./cmd/ascendopt -search -surrogate MODEL_surrogate.json \
+go run ./cmd/ascendopt -search \
     -episodes "$searchdir" -maxexactfrac 0.5 -minwarmsaving 0.8
 rm -rf "$searchdir"
 

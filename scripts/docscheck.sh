@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docscheck.sh — fail CI when CLI flags drift from the README.
 #
-# For each of the eleven CLIs, compare the flag set the binary actually
+# For each of the ten CLIs, compare the flag set the binary actually
 # exposes (`go run ./cmd/<cli> -h`) against the flags documented in the
 # README's "CLI reference" tables. Any flag present in one place and
 # missing in the other is drift and fails the check, so a flag cannot
@@ -9,7 +9,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-CLIS="ascendprof ascendopt ascendbench ascendviz ascendert ascendcheck ascendd ascendload ascendrouter ascendfit ascendgraph"
+CLIS="ascendprof ascendopt ascendbench ascendert ascendcheck ascendd ascendload ascendrouter ascendfit ascendgraph"
 fail=0
 
 for cli in $CLIS; do
