@@ -77,26 +77,27 @@ func GenProgram(chip *hw.Chip, rng *rand.Rand, n int) *isa.Program {
 			size := int64(rng.Intn(genRegionSizeMax) + 1)
 			srcOff := int64(rng.Intn(genRegionOffMax))
 			dstOff := int64(rng.Intn(genRegionOffMax))
-			prog.Append(isa.Transfer(p, srcOff, dstOff, size))
+			prog.AppendTransfer(p, srcOff, dstOff, size)
 		case 3, 4, 5: // compute, sometimes with regions and repeats
 			up := ups[rng.Intn(len(ups))]
 			in := isa.Compute(up.Unit, up.Prec, int64(rng.Intn(6000)+1))
 			if rng.Intn(2) == 0 {
-				in.Repeat = rng.Intn(8) + 1
+				in.Repeat = int32(rng.Intn(8) + 1)
 			}
+			var reads, writes []isa.Region
 			if rng.Intn(2) == 0 {
 				switch up.Unit {
 				case hw.Vector, hw.Scalar:
-					in.Reads = []isa.Region{region(hw.UB)}
+					reads = []isa.Region{region(hw.UB)}
 					if rng.Intn(2) == 0 {
-						in.Writes = []isa.Region{region(hw.UB)}
+						writes = []isa.Region{region(hw.UB)}
 					}
 				case hw.Cube:
-					in.Reads = []isa.Region{region(hw.L0A), region(hw.L0B)}
-					in.Writes = []isa.Region{region(hw.L0C)}
+					reads = []isa.Region{region(hw.L0A), region(hw.L0B)}
+					writes = []isa.Region{region(hw.L0C)}
 				}
 			}
-			prog.Append(in)
+			prog.AppendWith(in, reads, writes)
 		case 6: // set_flag on a random pair/event
 			pi := rng.Intn(len(flagPairs))
 			k := fkey{pair: pi, event: rng.Intn(3)}
@@ -142,10 +143,15 @@ func InsertBarrier(prog *isa.Program, pos int) *isa.Program {
 		pos = len(prog.Instrs)
 	}
 	out := &isa.Program{Name: prog.Name + "+barrier"}
-	out.Instrs = make([]isa.Instr, 0, len(prog.Instrs)+1)
-	out.Instrs = append(out.Instrs, prog.Instrs[:pos]...)
-	out.Instrs = append(out.Instrs, isa.BarrierAllInstr())
-	out.Instrs = append(out.Instrs, prog.Instrs[pos:]...)
+	for i := range prog.Instrs {
+		if i == pos {
+			out.Append(isa.BarrierAllInstr())
+		}
+		out.AppendFrom(prog, i)
+	}
+	if pos == len(prog.Instrs) {
+		out.Append(isa.BarrierAllInstr())
+	}
 	return out
 }
 
@@ -164,19 +170,21 @@ func SplitTransfer(prog *isa.Program, idx int) *isa.Program {
 	b1 := in.Bytes / 2
 	b2 := in.Bytes - b1
 	var srcOff, dstOff int64
-	if len(in.Reads) > 0 {
-		srcOff = in.Reads[0].Off
+	if rs := prog.Reads(idx); len(rs) > 0 {
+		srcOff = rs[0].Off
 	}
-	if len(in.Writes) > 0 {
-		dstOff = in.Writes[0].Off
+	if ws := prog.Writes(idx); len(ws) > 0 {
+		dstOff = ws[0].Off
 	}
-	first := isa.Transfer(in.Path, srcOff, dstOff, b1)
-	second := isa.Transfer(in.Path, srcOff+b1, dstOff+b1, b2)
 	out := &isa.Program{Name: prog.Name + "+split"}
-	out.Instrs = make([]isa.Instr, 0, len(prog.Instrs)+1)
-	out.Instrs = append(out.Instrs, prog.Instrs[:idx]...)
-	out.Instrs = append(out.Instrs, first, second)
-	out.Instrs = append(out.Instrs, prog.Instrs[idx+1:]...)
+	for i := range prog.Instrs {
+		if i != idx {
+			out.AppendFrom(prog, i)
+			continue
+		}
+		out.AppendTransfer(in.Path, srcOff, dstOff, b1)
+		out.AppendTransfer(in.Path, srcOff+b1, dstOff+b1, b2)
+	}
 	return out
 }
 
@@ -203,7 +211,15 @@ func SwapIndependent(chip *hw.Chip, prog *isa.Program, idx int) *isa.Program {
 		return nil
 	}
 	out := &isa.Program{Name: prog.Name + "+swap"}
-	out.Instrs = append([]isa.Instr(nil), prog.Instrs...)
-	out.Instrs[idx], out.Instrs[idx+1] = out.Instrs[idx+1], out.Instrs[idx]
+	for i := range prog.Instrs {
+		switch i {
+		case idx:
+			out.AppendFrom(prog, idx+1)
+		case idx + 1:
+			out.AppendFrom(prog, idx)
+		default:
+			out.AppendFrom(prog, i)
+		}
+	}
 	return out
 }

@@ -117,40 +117,41 @@ func refDuration(chip *hw.Chip, in *isa.Instr) (float64, error) {
 	}
 }
 
-// refConflict re-derives the spatial-dependency rule: two instructions
-// conflict when their declared memory regions overlap with at least one
-// writer, or (with UB banking enabled) when they touch a common bank.
-func refConflict(chip *hw.Chip, a, b *isa.Instr) bool {
+// refConflict re-derives the spatial-dependency rule: instructions a and
+// b of prog conflict when their declared memory regions overlap with at
+// least one writer, or (with UB banking enabled) when they touch a common
+// bank.
+func refConflict(chip *hw.Chip, prog *isa.Program, a, b int) bool {
 	over := func(x, y isa.Region) bool {
 		return x.Level == y.Level && x.Size > 0 && y.Size > 0 &&
 			x.Off < y.Off+y.Size && y.Off < x.Off+x.Size
 	}
-	for _, wa := range a.Writes {
-		for _, wb := range b.Writes {
+	for _, wa := range prog.Writes(a) {
+		for _, wb := range prog.Writes(b) {
 			if over(wa, wb) {
 				return true
 			}
 		}
-		for _, rb := range b.Reads {
+		for _, rb := range prog.Reads(b) {
 			if over(wa, rb) {
 				return true
 			}
 		}
 	}
-	for _, ra := range a.Reads {
-		for _, wb := range b.Writes {
+	for _, ra := range prog.Reads(a) {
+		for _, wb := range prog.Writes(b) {
 			if over(ra, wb) {
 				return true
 			}
 		}
 	}
 	if chip.UBBanks > 0 {
-		mask := func(in *isa.Instr) uint64 {
+		mask := func(i int) uint64 {
 			var m uint64
-			for _, r := range in.Reads {
+			for _, r := range prog.Reads(i) {
 				m |= chip.BankRange(r.Level, r.Off, r.Size)
 			}
-			for _, r := range in.Writes {
+			for _, r := range prog.Writes(i) {
 				m |= chip.BankRange(r.Level, r.Off, r.Size)
 			}
 			return m
@@ -189,7 +190,7 @@ func Reference(chip *hw.Chip, prog *isa.Program) (*Result, error) {
 		in := &prog.Instrs[i]
 		c, ok := in.Component(chip)
 		if !ok {
-			return nil, fmt.Errorf("check: instruction %d (%s) is not routable", i, in.String())
+			return nil, fmt.Errorf("check: instruction %d (%s) is not routable", i, prog.InstrString(i))
 		}
 		r.Comp[i] = c
 		d, err := refDuration(chip, in)
@@ -299,7 +300,7 @@ func Reference(chip *hw.Chip, prog *isa.Program) (*Result, error) {
 		}
 		// No conflicting instruction executing on another component.
 		for j := 0; j < n; j++ {
-			if running[j] && r.Comp[j] != r.Comp[i] && refConflict(chip, in, &prog.Instrs[j]) {
+			if running[j] && r.Comp[j] != r.Comp[i] && refConflict(chip, prog, i, j) {
 				return false
 			}
 		}
@@ -399,7 +400,7 @@ func refDeadlock(chip *hw.Chip, prog *isa.Program, comp []hw.Component, started 
 	for _, c := range hw.Components() {
 		for j := range prog.Instrs {
 			if comp[j] == c && !started[j] {
-				msg += fmt.Sprintf(" [%s: #%d %s]", c, j, prog.Instrs[j].String())
+				msg += fmt.Sprintf(" [%s: #%d %s]", c, j, prog.InstrString(j))
 				break
 			}
 		}

@@ -77,7 +77,7 @@ func (v *schedView) refBinding(i int) Binding {
 		}
 	}
 	if in.Kind == isa.KindWaitFlag {
-		k := flagKey{in.From, in.To, in.EventID}
+		k := in.FlagKey()
 		if seq := v.waitSeq[i]; seq < len(v.sets[k]) {
 			s := v.sets[k][seq]
 			consider(EdgeFlag, s, v.ends[s])
@@ -88,7 +88,7 @@ func (v *schedView) refBinding(i int) Binding {
 		if j == i || v.comp[j] == v.comp[i] {
 			continue
 		}
-		if regionsConflict(v.chip, &v.prog.Instrs[i], &v.prog.Instrs[j]) && v.ends[j] <= v.starts[i]+eps {
+		if regionsConflict(v.chip, v.prog, i, j) && v.ends[j] <= v.starts[i]+eps {
 			consider(EdgeHazard, j, v.ends[j])
 		}
 	}

@@ -116,16 +116,11 @@ type schedView struct {
 	prev          []int // per-queue predecessor, -1 for queue heads
 	barrierBefore []int // latest preceding PIPE_ALL barrier, -1 if none
 
-	sets    map[flagKey][]int // set_flag indices per key, completion order
-	waitSeq []int             // ordinal of each wait_flag within its key
+	sets    map[isa.FlagKey][]int // set_flag indices per key, completion order
+	waitSeq []int                 // ordinal of each wait_flag within its key
 
 	byEnd  []int // instruction indices by end time, ties by index
 	window []int // binding's scratch for hazard candidates
-}
-
-type flagKey struct {
-	from, to hw.Component
-	event    int
 }
 
 // newSchedView validates that the profile carries one span per
@@ -146,7 +141,7 @@ func newSchedView(chip *hw.Chip, prog *isa.Program, p *profile.Profile) (*schedV
 		ends:    make([]float64, n),
 		comp:    make([]hw.Component, n),
 		prev:    make([]int, n),
-		sets:    map[flagKey][]int{},
+		sets:    map[isa.FlagKey][]int{},
 		waitSeq: make([]int, n),
 	}
 	for s := range p.Spans() {
@@ -162,10 +157,10 @@ func newSchedView(chip *hw.Chip, prog *isa.Program, p *profile.Profile) (*schedV
 		v.prev[i] = lastInQueue[v.comp[i]]
 		lastInQueue[v.comp[i]] = i
 	}
-	waitCount := map[flagKey]int{}
+	waitCount := map[isa.FlagKey]int{}
 	for i := 0; i < n; i++ {
 		in := &prog.Instrs[i]
-		k := flagKey{in.From, in.To, in.EventID}
+		k := in.FlagKey()
 		switch in.Kind {
 		case isa.KindSetFlag:
 			v.sets[k] = append(v.sets[k], i)
@@ -221,7 +216,7 @@ func (v *schedView) binding(i int) Binding {
 		}
 	}
 	if in.Kind == isa.KindWaitFlag {
-		k := flagKey{in.From, in.To, in.EventID}
+		k := in.FlagKey()
 		if seq := v.waitSeq[i]; seq < len(v.sets[k]) {
 			s := v.sets[k][seq]
 			consider(EdgeFlag, s, v.ends[s])
@@ -249,7 +244,7 @@ func (v *schedView) binding(i int) Binding {
 		if !(t > bestT+eps || (t > bestT-eps && j > bestPred)) {
 			continue
 		}
-		if regionsConflict(v.chip, in, &v.prog.Instrs[j]) {
+		if regionsConflict(v.chip, v.prog, i, j) {
 			consider(EdgeHazard, j, t)
 		}
 	}
@@ -335,23 +330,24 @@ func Compute(chip *hw.Chip, prog *isa.Program, p *profile.Profile) (*Analysis, e
 	return a, nil
 }
 
-// regionsConflict mirrors the simulator's conflict rule, including bank
-// clashes when the chip models banking.
-func regionsConflict(chip *hw.Chip, a, b *isa.Instr) bool {
-	for _, wa := range a.Writes {
-		for _, wb := range b.Writes {
+// regionsConflict mirrors the simulator's conflict rule for
+// instructions a and b of prog, including bank clashes when the chip
+// models banking.
+func regionsConflict(chip *hw.Chip, prog *isa.Program, a, b int) bool {
+	for _, wa := range prog.Writes(a) {
+		for _, wb := range prog.Writes(b) {
 			if wa.Overlaps(wb) {
 				return true
 			}
 		}
-		for _, rb := range b.Reads {
+		for _, rb := range prog.Reads(b) {
 			if wa.Overlaps(rb) {
 				return true
 			}
 		}
 	}
-	for _, ra := range a.Reads {
-		for _, wb := range b.Writes {
+	for _, ra := range prog.Reads(a) {
+		for _, wb := range prog.Writes(b) {
 			if ra.Overlaps(wb) {
 				return true
 			}
@@ -359,16 +355,16 @@ func regionsConflict(chip *hw.Chip, a, b *isa.Instr) bool {
 	}
 	if chip.UBBanks > 0 {
 		var ma, mb uint64
-		for _, r := range a.Reads {
+		for _, r := range prog.Reads(a) {
 			ma |= chip.BankRange(r.Level, r.Off, r.Size)
 		}
-		for _, r := range a.Writes {
+		for _, r := range prog.Writes(a) {
 			ma |= chip.BankRange(r.Level, r.Off, r.Size)
 		}
-		for _, r := range b.Reads {
+		for _, r := range prog.Reads(b) {
 			mb |= chip.BankRange(r.Level, r.Off, r.Size)
 		}
-		for _, r := range b.Writes {
+		for _, r := range prog.Writes(b) {
 			mb |= chip.BankRange(r.Level, r.Off, r.Size)
 		}
 		if ma&mb != 0 {

@@ -42,15 +42,15 @@ func zeroChip() *hw.Chip {
 func TestSerialChain(t *testing.T) {
 	chip := zeroChip()
 	prog := &isa.Program{Name: "chain"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 32000)
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 32000),
 		isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.WaitFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.Compute(hw.Vector, hw.FP16, 25600),
 		isa.SetFlag(hw.CompVector, hw.CompMTEUB, 0),
 		isa.WaitFlag(hw.CompVector, hw.CompMTEUB, 0),
-		isa.Transfer(hw.PathUBToGM, 0, 64000, 16000),
 	)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 64000, 16000)
 	a := run(t, chip, prog)
 	// Path execution must cover the full makespan (zero overheads, no
 	// idle in a tight serial chain).
@@ -79,12 +79,10 @@ func TestHazardDominatedPath(t *testing.T) {
 	prog := &isa.Program{Name: "hazard"}
 	// Two rounds sharing one UB buffer: round 2's load must wait out
 	// round 1's store (write-read conflict on UB[0:32000)).
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 32000),
-		isa.Transfer(hw.PathUBToGM, 0, 1<<20, 32000),
-		isa.Transfer(hw.PathGMToUB, 65536, 0, 32000),
-		isa.Transfer(hw.PathUBToGM, 0, 2<<20, 32000),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 32000)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 1<<20, 32000)
+	prog.AppendTransfer(hw.PathGMToUB, 65536, 0, 32000)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 2<<20, 32000)
 	a := run(t, chip, prog)
 	if a.EdgeCount()[critpath.EdgeHazard] == 0 {
 		t.Errorf("expected hazard edges, got %v", a.EdgeCount())
@@ -98,11 +96,9 @@ func TestHazardDominatedPath(t *testing.T) {
 func TestBarrierOnPath(t *testing.T) {
 	chip := zeroChip()
 	prog := &isa.Program{Name: "barrier"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 32000),
-		isa.BarrierAllInstr(),
-		isa.Transfer(hw.PathUBToGM, 65536, 1<<20, 16000),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 32000)
+	prog.Append(isa.BarrierAllInstr())
+	prog.AppendTransfer(hw.PathUBToGM, 65536, 1<<20, 16000)
 	a := run(t, chip, prog)
 	if a.EdgeCount()[critpath.EdgeBarrier] == 0 {
 		t.Errorf("expected a barrier edge, got %v", a.EdgeCount())
@@ -118,8 +114,8 @@ func TestDispatchWaitAccounted(t *testing.T) {
 	prog.Append(
 		isa.Compute(hw.Scalar, hw.INT32, 1),
 		isa.Compute(hw.Scalar, hw.INT32, 1),
-		isa.Transfer(hw.PathGMToUB, 0, 0, 3200),
 	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 3200)
 	a := run(t, chip, prog)
 	if a.WaitTime[critpath.EdgeDispatch] <= 0 {
 		t.Errorf("expected dispatch wait, got %v", a.WaitTime)
@@ -222,7 +218,7 @@ func randomValidProgram(rng *rand.Rand, n int) *isa.Program {
 			path := paths[rng.Intn(len(paths))]
 			size := int64(rng.Intn(4000) + 1)
 			off := int64(rng.Intn(8192))
-			prog.Append(isa.Transfer(path, off, off, size))
+			prog.AppendTransfer(path, off, off, size)
 		case 2, 3:
 			ups := []hw.UnitPrec{
 				{Unit: hw.Cube, Prec: hw.FP16}, {Unit: hw.Vector, Prec: hw.FP16},
@@ -271,10 +267,8 @@ func TestBankClashOnPath(t *testing.T) {
 	chip.UBBanks = 4
 	chip.UBBankWidth = 1 << 10
 	prog := &isa.Program{Name: "banked"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1024),        // bank 0
-		isa.Transfer(hw.PathUBToGM, 4096, 1<<20, 1024), // bank 0 again, disjoint bytes
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1024)        // bank 0
+	prog.AppendTransfer(hw.PathUBToGM, 4096, 1<<20, 1024) // bank 0 again, disjoint bytes
 	a := run(t, chip, prog)
 	if a.EdgeCount()[critpath.EdgeHazard] == 0 {
 		t.Errorf("expected a bank-clash hazard edge, got %v", a.EdgeCount())

@@ -33,8 +33,8 @@ func Proxy(chip *hw.Chip, prog *isa.Program) float64 {
 	dl := Quant(chip.DispatchLatency)
 	var ready [hw.NumComponents]float64
 	var fence, maxEnd float64
-	var sets map[flagKey][]float64
-	var waits map[flagKey]int
+	var sets map[isa.FlagKey][]float64
+	var waits map[isa.FlagKey]int
 	for i := range prog.Instrs {
 		in := &prog.Instrs[i]
 		c, ok := in.Component(chip)
@@ -50,9 +50,9 @@ func Proxy(chip *hw.Chip, prog *isa.Program) float64 {
 		}
 		switch in.Kind {
 		case isa.KindWaitFlag:
-			k := flagKey{in.From, in.To, in.EventID}
+			k := in.FlagKey()
 			if waits == nil {
-				waits = map[flagKey]int{}
+				waits = map[isa.FlagKey]int{}
 			}
 			seq := waits[k]
 			waits[k]++
@@ -73,9 +73,9 @@ func Proxy(chip *hw.Chip, prog *isa.Program) float64 {
 		switch in.Kind {
 		case isa.KindSetFlag:
 			if sets == nil {
-				sets = map[flagKey][]float64{}
+				sets = map[isa.FlagKey][]float64{}
 			}
-			k := flagKey{in.From, in.To, in.EventID}
+			k := in.FlagKey()
 			sets[k] = append(sets[k], end)
 		case isa.KindBarrier:
 			if in.Scope == isa.BarrierAll {

@@ -103,7 +103,7 @@ func TestWorkersResolution(t *testing.T) {
 func transferProg(id int) *isa.Program {
 	prog := &isa.Program{Name: fmt.Sprintf("cache-test-%d", id)}
 	for i := 0; i <= id%3; i++ {
-		prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, int64(1024*(id+1))))
+		prog.AppendTransfer(hw.PathGMToUB, 0, 0, int64(1024*(id+1)))
 	}
 	return prog
 }
@@ -269,7 +269,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	// still simulating.
 	prog := &isa.Program{Name: "coalesce-misses"}
 	for i := 0; i < 4000; i++ {
-		prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 4096))
+		prog.AppendTransfer(hw.PathGMToUB, 0, 0, 4096)
 	}
 	c := NewCache(64)
 	const goroutines = 8

@@ -38,7 +38,7 @@ func TestExactCallerNeverGetsEstimate(t *testing.T) {
 
 	chip := hw.TrainingChip()
 	prog := &isa.Program{Name: "exact-vs-estimate"}
-	prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 4096))
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 4096)
 	approx := make(chan *profile.Profile, 1)
 	go func() {
 		p, err := SimulateApprox(chip, prog, sim.Options{})

@@ -159,7 +159,7 @@ func sweepPath(chip *hw.Chip, path hw.Path, spec hw.PathSpec, opts Options) (Pat
 			// Reuse the same regions: back-to-back transfers on one
 			// engine serialize regardless, and reuse keeps every size
 			// within buffer capacity.
-			prog.Append(isa.Transfer(path, 0, 0, size))
+			prog.AppendTransfer(path, 0, 0, size)
 		}
 		p, err := engine.Simulate(chip, prog, sim.Options{})
 		if err != nil {

@@ -21,8 +21,9 @@ package hw
 
 import "fmt"
 
-// Unit identifies one of the three AICore compute units.
-type Unit int
+// Unit identifies one of the three AICore compute units. It is a byte so
+// that instructions, which carry several of these enums, stay small.
+type Unit uint8
 
 const (
 	// Cube is the matrix unit: dense multiply-accumulate on tiles held in
@@ -54,7 +55,7 @@ func (u Unit) String() string {
 }
 
 // Precision identifies a numeric precision supported by a compute unit.
-type Precision int
+type Precision uint8
 
 const (
 	INT8 Precision = iota
@@ -102,7 +103,7 @@ func (p Precision) Bytes() int64 {
 }
 
 // Level identifies a level of the on-chip memory hierarchy (plus GM).
-type Level int
+type Level uint8
 
 const (
 	// GM is global memory (HBM/DDR), the lowest level.
@@ -145,7 +146,7 @@ func (l Level) String() string {
 // Component is a hardware engine with a physical instruction queue:
 // one of the three compute units or one of the three MTEs. Instructions
 // within a component execute serially; across components, in parallel.
-type Component int
+type Component uint8
 
 const (
 	CompCube Component = iota

@@ -5,7 +5,13 @@ package isa
 func Encode(p *Program) []byte {
 	buf := appendProgramHeader(nil, p)
 	for i := range p.Instrs {
-		buf = appendInstr(buf, &p.Instrs[i])
+		buf = appendInstr(buf, &p.Instrs[i], p.Reads(i), p.Writes(i))
 	}
 	return buf
+}
+
+// Alias returns a new Program over p's instruction and region arrays,
+// without p's fingerprint memo.
+func Alias(p *Program) *Program {
+	return &Program{Name: p.Name, Instrs: p.Instrs, regions: p.regions}
 }

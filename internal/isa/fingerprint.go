@@ -16,8 +16,9 @@ import (
 // The encoding writes the name as a uvarint length and its bytes, then
 // the instruction count as a uvarint. Each instruction is its Kind as a
 // zigzag varint, a 2-byte little-endian presence mask with one bit per
-// remaining Instr field (set exactly when the field is non-zero, or its
-// region list non-empty), and then only the present fields, in the mask's
+// remaining Instr field, reads and writes included (set exactly when the
+// field is non-zero, or its region list non-empty), and then only the
+// present fields, in the mask's
 // bit order (fpLabel … fpPipe). Integers are zigzag varints, the label
 // is a uvarint length and its bytes, and a region list is a uvarint
 // count and each region's level, offset and size. Most fields are zero
@@ -41,7 +42,7 @@ func (p *Program) Fingerprint() string {
 	h := sha256.New()
 	buf := appendProgramHeader(make([]byte, 0, fpChunk+512), p)
 	for i := range p.Instrs {
-		buf = appendInstr(buf, &p.Instrs[i])
+		buf = appendInstr(buf, &p.Instrs[i], p.Reads(i), p.Writes(i))
 		if len(buf) >= fpChunk {
 			h.Write(buf)
 			buf = buf[:0]
@@ -58,7 +59,9 @@ func (p *Program) Fingerprint() string {
 const fpChunk = 4 << 10
 
 // Presence-mask bits of the fingerprint encoding, one per Instr field
-// after Kind; present fields follow the mask in this order.
+// after Kind (the instruction's reads and writes counting as fields);
+// present fields follow the mask in this order. The encoding is defined
+// on field values, not on the struct layout.
 const (
 	fpLabel = iota
 	fpUnit
@@ -85,10 +88,10 @@ func appendProgramHeader(buf []byte, p *Program) []byte {
 	return binary.AppendUvarint(buf, uint64(len(p.Instrs)))
 }
 
-// appendInstr appends the encoding of one instruction. The mask's two
-// bytes are reserved first and filled in once the fields are written,
-// so each field is tested once.
-func appendInstr(buf []byte, in *Instr) []byte {
+// appendInstr appends the encoding of one instruction with its regions.
+// The mask's two bytes are reserved first and filled in once the fields
+// are written, so each field is tested once.
+func appendInstr(buf []byte, in *Instr, reads, writes []Region) []byte {
 	buf = appendVarint(buf, int64(in.Kind))
 	at := len(buf)
 	buf = append(buf, 0, 0)
@@ -126,13 +129,13 @@ func appendInstr(buf []byte, in *Instr) []byte {
 		mask |= 1 << fpBytes
 		buf = appendVarint(buf, in.Bytes)
 	}
-	if len(in.Reads) != 0 {
+	if len(reads) != 0 {
 		mask |= 1 << fpReads
-		buf = appendRegions(buf, in.Reads)
+		buf = appendRegions(buf, reads)
 	}
-	if len(in.Writes) != 0 {
+	if len(writes) != 0 {
 		mask |= 1 << fpWrites
-		buf = appendRegions(buf, in.Writes)
+		buf = appendRegions(buf, writes)
 	}
 	if in.From != 0 {
 		mask |= 1 << fpFrom
@@ -181,7 +184,8 @@ func appendVarint(buf []byte, v int64) []byte {
 }
 
 // Equal reports whether p and q have the same name and the same
-// instructions, field for field (InstrEqual), which is exactly when
+// instructions, field for field and region for region (InstrEqual),
+// which is exactly when
 // their fingerprints are equal (up to hash collisions). It stops at the
 // first difference and hashes nothing, so comparing two programs costs
 // less than fingerprinting one of them.
@@ -193,23 +197,25 @@ func (p *Program) Equal(q *Program) bool {
 		return false
 	}
 	for i := range p.Instrs {
-		if !InstrEqual(&p.Instrs[i], &q.Instrs[i]) {
+		if !p.InstrEqual(i, &q.Instrs[i], q.Reads(i), q.Writes(i)) {
 			return false
 		}
 	}
 	return true
 }
 
-// InstrEqual reports whether a and b agree on every field the
-// fingerprint encodes. Nil and empty region lists are equal, as the
-// encoding marks both absent. It is the one definition of
-// instruction identity behind Program.Equal and every comparison that
-// must agree with it.
-func InstrEqual(a, b *Instr) bool {
-	return a.Kind == b.Kind && a.Label == b.Label &&
-		a.Unit == b.Unit && a.Prec == b.Prec && a.Ops == b.Ops && a.Repeat == b.Repeat &&
-		a.Path == b.Path && a.Bytes == b.Bytes &&
-		slices.Equal(a.Reads, b.Reads) && slices.Equal(a.Writes, b.Writes) &&
-		a.From == b.From && a.To == b.To && a.EventID == b.EventID &&
-		a.Scope == b.Scope && a.Pipe == b.Pipe
+// InstrEqual reports whether instruction i of p agrees with in, read
+// regions reads and write regions writes on every field the fingerprint
+// encodes. in's own arena addresses are not compared: regions are
+// compared by value, and nil and empty lists are equal, as the encoding
+// marks both absent. It is the one definition of instruction identity
+// behind Program.Equal and every comparison that must agree with it.
+func (p *Program) InstrEqual(i int, in *Instr, reads, writes []Region) bool {
+	a := &p.Instrs[i]
+	return a.Kind == in.Kind && a.Label == in.Label &&
+		a.Unit == in.Unit && a.Prec == in.Prec && a.Ops == in.Ops && a.Repeat == in.Repeat &&
+		a.Path == in.Path && a.Bytes == in.Bytes &&
+		a.From == in.From && a.To == in.To && a.EventID == in.EventID &&
+		a.Scope == in.Scope && a.Pipe == in.Pipe &&
+		slices.Equal(p.Reads(i), reads) && slices.Equal(p.Writes(i), writes)
 }

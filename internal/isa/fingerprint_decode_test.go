@@ -80,6 +80,7 @@ func decodeFingerprint(b []byte) (*isa.Program, error) {
 	n := d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		var in isa.Instr
+		var reads, writes []isa.Region
 		in.Kind = isa.Kind(d.varint())
 		if len(d.b) < 2 {
 			d.err = errTruncated
@@ -112,7 +113,7 @@ func decodeFingerprint(b []byte) (*isa.Program, error) {
 			in.Ops = nonzero("Ops", d.varint())
 		}
 		if has(4) {
-			in.Repeat = int(nonzero("Repeat", d.varint()))
+			in.Repeat = int32(nonzero("Repeat", d.varint()))
 		}
 		if has(5) {
 			in.Path.Src = hw.Level(nonzero("Path.Src", d.varint()))
@@ -124,10 +125,10 @@ func decodeFingerprint(b []byte) (*isa.Program, error) {
 			in.Bytes = nonzero("Bytes", d.varint())
 		}
 		if has(8) {
-			in.Reads = d.regions()
+			reads = d.regions()
 		}
 		if has(9) {
-			in.Writes = d.regions()
+			writes = d.regions()
 		}
 		if has(10) {
 			in.From = hw.Component(nonzero("From", d.varint()))
@@ -136,7 +137,7 @@ func decodeFingerprint(b []byte) (*isa.Program, error) {
 			in.To = hw.Component(nonzero("To", d.varint()))
 		}
 		if has(12) {
-			in.EventID = int(nonzero("EventID", d.varint()))
+			in.EventID = int32(nonzero("EventID", d.varint()))
 		}
 		if has(13) {
 			in.Scope = isa.BarrierScope(nonzero("Scope", d.varint()))
@@ -144,7 +145,7 @@ func decodeFingerprint(b []byte) (*isa.Program, error) {
 		if has(14) {
 			in.Pipe = hw.Component(nonzero("Pipe", d.varint()))
 		}
-		p.Instrs = append(p.Instrs, in)
+		p.AppendWith(in, reads, writes)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -168,8 +169,8 @@ func checkRoundTrip(t testing.TB, p *isa.Program) {
 		t.Fatalf("%q (%d instrs) decoded as %q (%d instrs)", p.Name, p.Len(), got.Name, got.Len())
 	}
 	for i := range p.Instrs {
-		if !isa.InstrEqual(&got.Instrs[i], &p.Instrs[i]) {
-			t.Fatalf("%q: instruction %d decoded as %+v, want %+v", p.Name, i, got.Instrs[i], p.Instrs[i])
+		if !got.InstrEqual(i, &p.Instrs[i], p.Reads(i), p.Writes(i)) {
+			t.Fatalf("%q: instruction %d decoded as %s, want %s", p.Name, i, got.InstrString(i), p.InstrString(i))
 		}
 	}
 	sum := sha256.Sum256(enc)
@@ -203,25 +204,41 @@ func registryCorpus(t testing.TB) []*isa.Program {
 	return out
 }
 
+// edgeInstr is a hand-made instruction with its regions.
+type edgeInstr struct {
+	in            isa.Instr
+	reads, writes []isa.Region
+}
+
 // edgeInstrs are hand-made instructions at the encoding's edges:
 // negative and extreme integers, nil and empty region lists, and labels
 // holding the bytes a varint or C string would treat specially.
-func edgeInstrs() []isa.Instr {
-	return []isa.Instr{
-		{},
-		{Kind: -1, Ops: -1, Repeat: -64, EventID: -65},
-		{Kind: math.MaxInt, Unit: -1, Prec: math.MinInt, Ops: math.MinInt64, Bytes: math.MaxInt64},
-		{Kind: isa.KindTransfer, Path: hw.Path{Src: -3, Dst: math.MaxInt}, Bytes: 1 << 62,
-			Reads:  []isa.Region{{Level: math.MinInt, Off: math.MinInt64, Size: math.MaxInt64}},
-			Writes: []isa.Region{{}, {Level: 1, Off: -1, Size: 0x80}}},
-		{Kind: isa.KindCompute, Reads: []isa.Region{}, Writes: nil},
-		{Kind: isa.KindCompute, Reads: nil, Writes: []isa.Region{}},
-		{Label: "\x00"},
-		{Label: "\x80"},
-		{Label: "a\x00b\x80\xff" + string(rune(0x80))},
-		{Kind: isa.KindBarrier, Scope: -1, Pipe: math.MinInt, From: math.MaxInt, To: -2, EventID: math.MaxInt},
-		{Kind: 63, Unit: 64, Prec: -64, Ops: 127, Repeat: 128, Bytes: -129},
+func edgeInstrs() []edgeInstr {
+	return []edgeInstr{
+		{in: isa.Instr{}},
+		{in: isa.Instr{Kind: math.MaxUint8, Ops: -1, Repeat: -64, EventID: -65}},
+		{in: isa.Instr{Kind: 128, Unit: math.MaxUint8, Prec: 0x80, Ops: math.MinInt64, Bytes: math.MaxInt64}},
+		{in: isa.Instr{Kind: isa.KindTransfer, Path: hw.Path{Src: 0xfd, Dst: math.MaxUint8}, Bytes: 1 << 62},
+			reads:  []isa.Region{{Level: math.MaxUint8, Off: math.MinInt64, Size: math.MaxInt64}},
+			writes: []isa.Region{{}, {Level: 1, Off: -1, Size: 0x80}}},
+		{in: isa.Instr{Kind: isa.KindCompute}, reads: []isa.Region{}, writes: nil},
+		{in: isa.Instr{Kind: isa.KindCompute}, reads: nil, writes: []isa.Region{}},
+		{in: isa.Instr{Label: "\x00"}},
+		{in: isa.Instr{Label: "\x80"}},
+		{in: isa.Instr{Label: "a\x00b\x80\xff" + string(rune(0x80))}},
+		{in: isa.Instr{Kind: isa.KindBarrier, Scope: math.MaxUint8, Pipe: 0x80, From: math.MaxUint8, To: 0xfe, EventID: math.MaxInt32}},
+		{in: isa.Instr{Kind: 63, Unit: 64, Prec: 0xc0, Ops: 127, Repeat: math.MinInt32, Bytes: -129, EventID: math.MinInt32}},
+		{in: isa.Instr{Kind: 64, Repeat: math.MaxInt32}},
 	}
+}
+
+// edgeProgram appends edges to a program named name.
+func edgeProgram(name string, edges []edgeInstr) *isa.Program {
+	p := &isa.Program{Name: name}
+	for _, e := range edges {
+		p.AppendWith(e.in, e.reads, e.writes)
+	}
+	return p
 }
 
 // TestFingerprintDecodes parses the encoding of every registry program,
@@ -239,15 +256,15 @@ func TestFingerprintDecodes(t *testing.T) {
 	edges := edgeInstrs()
 	for _, name := range []string{"", "\x00", "\x80", "edge\x00\x80"} {
 		checkRoundTrip(t, &isa.Program{Name: name})
-		checkRoundTrip(t, &isa.Program{Name: name, Instrs: edges})
+		checkRoundTrip(t, edgeProgram(name, edges))
 	}
 	for i := range edges {
-		checkRoundTrip(t, &isa.Program{Name: "one", Instrs: edges[i : i+1]})
+		checkRoundTrip(t, edgeProgram("one", edges[i:i+1]))
 	}
 	// Nil and empty region lists are one value to InstrEqual, so they
 	// must be one value to the fingerprint too.
-	a := &isa.Program{Instrs: []isa.Instr{{Reads: nil, Writes: []isa.Region{}}}}
-	b := &isa.Program{Instrs: []isa.Instr{{Reads: []isa.Region{}, Writes: nil}}}
+	a := edgeProgram("", []edgeInstr{{reads: nil, writes: []isa.Region{}}})
+	b := edgeProgram("", []edgeInstr{{reads: []isa.Region{}, writes: nil}})
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("nil and empty region lists fingerprint differently")
 	}
@@ -279,9 +296,9 @@ func TestFingerprintBytesPerInstr(t *testing.T) {
 // instructions.
 var fuzzValues = []int64{0, 1, -1, 2, 63, 64, -64, -65, 127, 128, 8191, 8192, 1 << 40, math.MinInt64, math.MaxInt64}
 
-// fuzzInstr builds an instruction from data, one byte per choice (zero
-// once data runs out).
-func fuzzInstr(data []byte) isa.Instr {
+// fuzzInstr builds a one-instruction program from data, one byte per
+// choice (zero once data runs out).
+func fuzzInstr(data []byte) *isa.Program {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -308,12 +325,14 @@ func fuzzInstr(data []byte) isa.Instr {
 		label[i] = next()
 	}
 	in.Label = string(label)
-	in.Unit, in.Prec, in.Ops, in.Repeat = hw.Unit(val()), hw.Precision(val()), val(), int(val())
+	in.Unit, in.Prec, in.Ops, in.Repeat = hw.Unit(val()), hw.Precision(val()), val(), int32(val())
 	in.Path, in.Bytes = hw.Path{Src: hw.Level(val()), Dst: hw.Level(val())}, val()
-	in.Reads, in.Writes = regions(), regions()
-	in.From, in.To, in.EventID = hw.Component(val()), hw.Component(val()), int(val())
+	reads, writes := regions(), regions()
+	in.From, in.To, in.EventID = hw.Component(val()), hw.Component(val()), int32(val())
 	in.Scope, in.Pipe = isa.BarrierScope(val()), hw.Component(val())
-	return in
+	p := &isa.Program{Name: "fuzz"}
+	p.AppendWith(in, reads, writes)
+	return p
 }
 
 // FuzzFingerprint builds two instructions from arbitrary bytes: their
@@ -326,13 +345,11 @@ func FuzzFingerprint(f *testing.F) {
 	f.Add([]byte{13, 3, 0, 128, 255, 14, 5}, []byte{13, 3, 0, 128, 255, 14, 20})
 	f.Add([]byte{2, 0, 1, 1, 1, 1, 1, 1, 1, 3, 13, 14, 7}, []byte{2, 0, 1, 1, 1, 1, 1, 1, 1, 3, 13, 14, 8})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		x, y := fuzzInstr(a), fuzzInstr(b)
-		px := &isa.Program{Name: "fuzz", Instrs: []isa.Instr{x}}
-		py := &isa.Program{Name: "fuzz", Instrs: []isa.Instr{y}}
+		px, py := fuzzInstr(a), fuzzInstr(b)
 		checkRoundTrip(t, px)
 		checkRoundTrip(t, py)
-		if same := px.Fingerprint() == py.Fingerprint(); same != isa.InstrEqual(&x, &y) {
-			t.Fatalf("fingerprints equal %v, InstrEqual %v:\n%+v\n%+v", same, !same, x, y)
+		if same := px.Fingerprint() == py.Fingerprint(); same != px.InstrEqual(0, &py.Instrs[0], py.Reads(0), py.Writes(0)) {
+			t.Fatalf("fingerprints equal %v, InstrEqual %v:\n%s\n%s", same, !same, px.InstrString(0), py.InstrString(0))
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -63,8 +64,8 @@ func TestFingerprintGolden(t *testing.T) {
 	// Every field the encoding covers, including labels, barrier
 	// scopes and empty names.
 	hand := &isa.Program{}
+	hand.AppendTransfer(hw.Path{Src: hw.GM, Dst: hw.UB}, 0, 64, 4096)
 	hand.Append(
-		isa.Transfer(hw.Path{Src: hw.GM, Dst: hw.UB}, 0, 64, 4096),
 		isa.ComputeRepeat(hw.Vector, hw.FP16, 2048, 8),
 		isa.SetFlag(hw.CompVector, hw.CompMTEUB, 3),
 		isa.WaitFlag(hw.CompVector, hw.CompMTEUB, 3),
@@ -110,24 +111,28 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &isa.Program{Name: src.Name, Instrs: src.Instrs}
-		_ = p.Fingerprint()
+		_ = isa.Alias(src).Fingerprint()
 	}
 	n := float64(src.Len())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/instr")
 	b.ReportMetric(float64(len(isa.Encode(src)))/n, "B/instr")
 }
 
-// mutateLeaf changes the leaf'th mutable leaf reachable from v (fields
-// of structs, elements of slices, and each slice itself, which grows by
-// one zero element) and reports whether v had that many leaves, with
-// the path it changed. Every leaf of isa.Instr is reached, so a field
-// added later is mutated too; a field of a kind it cannot change fails
-// the test instead of going unchecked.
+// mutateLeaf changes the leaf'th mutable leaf reachable from v (exported
+// fields of structs, elements of slices, and each slice itself, which
+// grows by one zero element) and reports whether v had that many leaves,
+// with the path it changed. Every exported leaf of isa.Instr is reached,
+// so a field added later is mutated too; a field of a kind it cannot
+// change fails the test instead of going unchecked. Instr's unexported
+// fields address its regions in the program's arena (TestInstrLayout);
+// the regions themselves are mutated through instrRegions.
 func mutateLeaf(t *testing.T, v reflect.Value, path string, leaf *int) (string, bool) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
 			if p, ok := mutateLeaf(t, v.Field(i), path+"."+v.Type().Field(i).Name, leaf); ok {
 				return p, true
 			}
@@ -167,9 +172,17 @@ func mutateLeaf(t *testing.T, v reflect.Value, path string, leaf *int) (string, 
 	return path, true
 }
 
+// instrRegions is one instruction with copies of its arena regions: the
+// value TestEqualCoversEveryField mutates.
+type instrRegions struct {
+	Instr         isa.Instr
+	Reads, Writes []isa.Region
+}
+
 // TestEqualCoversEveryField mutates one leaf of one instruction at a
-// time in a fresh build of a registry program and requires both Equal
-// and Fingerprint to tell the copy from the original.
+// time, its regions in the arena included, in a copy of a registry
+// program and requires both Equal and Fingerprint to tell the copy from
+// the original.
 func TestEqualCoversEveryField(t *testing.T) {
 	chip := hw.TrainingChip()
 	k := kernels.Registry()["add_relu"]
@@ -183,7 +196,7 @@ func TestEqualCoversEveryField(t *testing.T) {
 	orig := build()
 	at := -1
 	for i := range orig.Instrs {
-		if len(orig.Instrs[i].Reads) > 0 && len(orig.Instrs[i].Writes) > 0 {
+		if len(orig.Reads(i)) > 0 && len(orig.Writes(i)) > 0 {
 			at = i
 			break
 		}
@@ -193,13 +206,21 @@ func TestEqualCoversEveryField(t *testing.T) {
 	}
 	mutated := 0
 	for leaf := 0; ; leaf++ {
-		p := build()
+		w := instrRegions{orig.Instrs[at], slices.Clone(orig.Reads(at)), slices.Clone(orig.Writes(at))}
 		n := leaf
-		path, ok := mutateLeaf(t, reflect.ValueOf(&p.Instrs[at]).Elem(), "Instr", &n)
+		path, ok := mutateLeaf(t, reflect.ValueOf(&w).Elem(), "", &n)
 		if !ok {
 			break
 		}
 		mutated++
+		p := &isa.Program{Name: orig.Name}
+		for i := range orig.Instrs {
+			if i == at {
+				p.AppendWith(w.Instr, w.Reads, w.Writes)
+			} else {
+				p.AppendFrom(orig, i)
+			}
+		}
 		if p.Equal(orig) || orig.Equal(p) {
 			t.Errorf("%s changed but Equal still holds", path)
 		}
@@ -207,8 +228,16 @@ func TestEqualCoversEveryField(t *testing.T) {
 			t.Errorf("%s changed but Fingerprint did not", path)
 		}
 	}
-	if mutated < reflect.TypeOf(isa.Instr{}).NumField() {
-		t.Fatalf("mutated %d leaves, fewer than Instr's %d fields", mutated, reflect.TypeOf(isa.Instr{}).NumField())
+	// Every exported field of Instr, and each of the two region lists
+	// (grown, plus a region's three fields), at the least.
+	fields := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(isa.Instr{})) {
+		if f.IsExported() {
+			fields++
+		}
+	}
+	if want := fields + 2*(1+3); mutated < want {
+		t.Fatalf("mutated %d leaves, fewer than %d", mutated, want)
 	}
 	renamed := build()
 	renamed.Name += "'"

@@ -19,7 +19,9 @@
 // Instructions carry the memory regions they read and write so the
 // simulator can model spatial dependencies: two instructions on different
 // components that touch an overlapping region (with at least one writer)
-// contend for the memory port and serialize.
+// contend for the memory port and serialize. The regions live in one
+// pointer-free arena per Program (Program.Reads, Program.Writes), which
+// keeps an Instr at 64 bytes with a single pointer word, its Label.
 package isa
 
 import (
@@ -32,7 +34,7 @@ import (
 )
 
 // Kind discriminates instruction variants.
-type Kind int
+type Kind uint8
 
 const (
 	KindCompute Kind = iota
@@ -85,7 +87,7 @@ func (r Region) String() string {
 }
 
 // BarrierScope selects which queues a barrier synchronizes.
-type BarrierScope int
+type BarrierScope uint8
 
 const (
 	// BarrierAll is pipe_barrier(PIPE_ALL): a full cross-component fence.
@@ -98,36 +100,57 @@ const (
 
 // Instr is one AICore instruction. The zero value is not valid; construct
 // instructions with the helper constructors.
+//
+// The layout is 64 bytes with one pointer word (Label): the wide fields
+// first, then the region addresses, then one byte per enum. An
+// instruction's memory effects (the regions it reads and writes, used for
+// hazard detection) are not fields: they live in the region arena of the
+// Program that holds the instruction, and Program.Reads and
+// Program.Writes return them. Transfers read Src-level regions and write
+// Dst-level regions; computes read inputs and write outputs.
 type Instr struct {
-	Kind Kind
-
 	// Label optionally names the instruction for traces and diagnostics.
 	Label string
 
+	Ops   int64 // compute: scalar operations performed in total (across repeats)
+	Bytes int64 // transfer: bytes moved
+
+	Repeat int32 // compute: hardware repeat count; 0 is treated as 1
+	// EventID distinguishes independent flag streams between the same
+	// From/To pair.
+	EventID int32
+
+	// The instruction's regions are arena[reg : reg+nReads] (reads)
+	// followed by nWrites writes, in the owning Program's arena. Only
+	// Program methods set them; Append clears them.
+	reg, nReads, nWrites uint32
+
+	Kind Kind
+
 	// Compute fields.
-	Unit   hw.Unit
-	Prec   hw.Precision
-	Ops    int64 // scalar operations performed in total (across repeats)
-	Repeat int   // hardware repeat count; 0 is treated as 1
+	Unit hw.Unit
+	Prec hw.Precision
 
-	// Transfer fields.
-	Path  hw.Path
-	Bytes int64
+	// Transfer field.
+	Path hw.Path
 
-	// Memory effects, used for hazard detection. Transfers read Src-level
-	// regions and write Dst-level regions; computes read inputs and write
-	// outputs.
-	Reads  []Region
-	Writes []Region
-
-	// Flag fields. From is the producing component, To the consuming one,
-	// EventID distinguishes independent flag streams between the same pair.
+	// Flag fields. From is the producing component, To the consuming one.
 	From, To hw.Component
-	EventID  int
 
 	// Barrier fields.
 	Scope BarrierScope
 	Pipe  hw.Component // for BarrierPipe
+}
+
+// FlagKey identifies a flag stream: the producing and consuming
+// components and the event id of a set_flag or wait_flag. Its two int32
+// words leave no padding, so a map keyed by it hashes eight plain bytes
+// on the runtime's fast path.
+type FlagKey struct{ pair, event int32 }
+
+// FlagKey returns the flag stream of the instruction.
+func (in *Instr) FlagKey() FlagKey {
+	return FlagKey{int32(in.From)<<8 | int32(in.To), in.EventID}
 }
 
 // EffRepeat returns the effective repeat count (at least 1).
@@ -135,7 +158,7 @@ func (in *Instr) EffRepeat() int {
 	if in.Repeat < 1 {
 		return 1
 	}
-	return in.Repeat
+	return int(in.Repeat)
 }
 
 // Component returns the instruction queue the instruction executes on,
@@ -163,11 +186,12 @@ func (in *Instr) Component(chip *hw.Chip) (hw.Component, bool) {
 	}
 }
 
-// String disassembles the instruction. The format is parseable by Parse:
-// memory regions are rendered as Level[off:end) lists so the round trip
-// is lossless.
-func (in *Instr) String() string {
+// InstrString disassembles instruction i. The format is parseable by
+// Parse: memory regions are rendered as Level[off:end) lists so the round
+// trip is lossless.
+func (p *Program) InstrString(i int) string {
 	var b strings.Builder
+	in := &p.Instrs[i]
 	switch in.Kind {
 	case KindCompute:
 		fmt.Fprintf(&b, "%s.%s ops=%d repeat=%d", in.Unit, in.Prec, in.Ops, in.EffRepeat())
@@ -196,13 +220,13 @@ func (in *Instr) String() string {
 			fmt.Fprintf(&b, "pipe_barrier(%s)", in.Pipe)
 		}
 	}
-	if len(in.Reads) > 0 {
+	if rs := p.Reads(i); len(rs) > 0 {
 		b.WriteString(" reads=")
-		writeRegions(&b, in.Reads)
+		writeRegions(&b, rs)
 	}
-	if len(in.Writes) > 0 {
+	if ws := p.Writes(i); len(ws) > 0 {
 		b.WriteString(" writes=")
-		writeRegions(&b, in.Writes)
+		writeRegions(&b, ws)
 	}
 	if in.Label != "" {
 		fmt.Fprintf(&b, " ; %s", in.Label)
@@ -229,33 +253,19 @@ func Compute(u hw.Unit, p hw.Precision, ops int64) Instr {
 // ComputeRepeat constructs a compute instruction with an explicit hardware
 // repeat count. ops remains the total operation count across all repeats.
 func ComputeRepeat(u hw.Unit, p hw.Precision, ops int64, repeat int) Instr {
-	return Instr{Kind: KindCompute, Unit: u, Prec: p, Ops: ops, Repeat: repeat}
-}
-
-// Transfer constructs a data-movement instruction over path p, copying
-// size bytes from the src offset to the dst offset.
-func Transfer(p hw.Path, srcOff, dstOff, size int64) Instr {
-	return Instr{
-		Kind:  KindTransfer,
-		Path:  p,
-		Bytes: size,
-		Reads: []Region{{Level: p.Src, Off: srcOff, Size: size}},
-		Writes: []Region{
-			{Level: p.Dst, Off: dstOff, Size: size},
-		},
-	}
+	return Instr{Kind: KindCompute, Unit: u, Prec: p, Ops: ops, Repeat: int32(repeat)}
 }
 
 // SetFlag constructs a set-flag executed on the from component, signalling
 // the to component on the given event id.
 func SetFlag(from, to hw.Component, event int) Instr {
-	return Instr{Kind: KindSetFlag, From: from, To: to, EventID: event}
+	return Instr{Kind: KindSetFlag, From: from, To: to, EventID: int32(event)}
 }
 
 // WaitFlag constructs a wait-flag executed on the to component, blocking
 // it until the matching SetFlag from the from component completes.
 func WaitFlag(from, to hw.Component, event int) Instr {
-	return Instr{Kind: KindWaitFlag, From: from, To: to, EventID: event}
+	return Instr{Kind: KindWaitFlag, From: from, To: to, EventID: int32(event)}
 }
 
 // BarrierAllInstr constructs a pipe_barrier(PIPE_ALL).
@@ -276,10 +286,15 @@ type Program struct {
 	Name   string
 	Instrs []Instr
 
+	// regions is the arena every instruction's reads and writes are
+	// carved from. It holds no pointers, so it costs the collector
+	// nothing to scan.
+	regions []Region
+
 	// fp memoizes Fingerprint. Programs are append-only after
-	// construction (Append is the only mutation path; transformation
-	// passes build fresh programs), so a memo taken at one instruction
-	// count stays valid until the count changes.
+	// construction (the Append methods are the only mutation path;
+	// transformation passes build fresh programs), so a memo taken at
+	// one instruction count stays valid until the count changes.
 	fp atomic.Pointer[fpMemo]
 }
 
@@ -290,16 +305,87 @@ type fpMemo struct {
 	fp string
 }
 
-// Append adds instructions to the program. Capacity doubles when it
-// runs out: plain append grows large slices by ~1.25x per step, and
-// callers that emit a stream one instruction at a time would regrow it
-// far more often. Kernel builds append into a reused buffer, which
-// regrows only while it is smaller than the build.
+// Append adds instructions without memory effects: whatever regions an
+// instruction had in another program, it has none in p. AppendWith and
+// AppendFrom attach regions.
 func (p *Program) Append(ins ...Instr) {
-	if need := len(p.Instrs) + len(ins); need > cap(p.Instrs) {
-		p.Instrs = slices.Grow(p.Instrs, max(need, 2*len(p.Instrs), 64)-len(p.Instrs))
+	n := len(p.Instrs)
+	p.Instrs = append(grow(p.Instrs, len(ins)), ins...)
+	for i := n; i < len(p.Instrs); i++ {
+		in := &p.Instrs[i]
+		in.reg, in.nReads, in.nWrites = 0, 0, 0
 	}
-	p.Instrs = append(p.Instrs, ins...)
+}
+
+// AppendWith adds in with the given read and write regions, which are
+// copied into p's arena. It is the one way an instruction gets regions.
+func (p *Program) AppendWith(in Instr, reads, writes []Region) {
+	in.reg, in.nReads, in.nWrites = uint32(len(p.regions)), uint32(len(reads)), uint32(len(writes))
+	p.regions = append(grow(p.regions, len(reads)+len(writes)), reads...)
+	p.regions = append(p.regions, writes...)
+	p.Instrs = append(grow(p.Instrs, 1), in)
+}
+
+// AppendFrom adds instruction i of q, regions included.
+func (p *Program) AppendFrom(q *Program, i int) {
+	p.AppendWith(q.Instrs[i], q.Reads(i), q.Writes(i))
+}
+
+// AppendTransfer adds a data-movement instruction over path, copying
+// size bytes from the src offset to the dst offset: it reads
+// path.Src[srcOff, srcOff+size) and writes path.Dst[dstOff, dstOff+size).
+func (p *Program) AppendTransfer(path hw.Path, srcOff, dstOff, size int64) {
+	p.AppendWith(Instr{Kind: KindTransfer, Path: path, Bytes: size},
+		[]Region{{Level: path.Src, Off: srcOff, Size: size}},
+		[]Region{{Level: path.Dst, Off: dstOff, Size: size}})
+}
+
+// grow makes room for n more elements. Capacity doubles when it runs
+// out: plain append grows large slices by ~1.25x per step, and callers
+// that emit a stream one instruction at a time would regrow it far more
+// often. Kernel builds append into reused buffers, which regrow only
+// while they are smaller than the build.
+func grow[T any](s []T, n int) []T {
+	if need := len(s) + n; need > cap(s) {
+		return slices.Grow(s, max(need, 2*len(s), 64)-len(s))
+	}
+	return s
+}
+
+// Reads returns the regions instruction i reads. The slice is p's arena,
+// capped so that appending to it cannot overwrite a neighbour.
+func (p *Program) Reads(i int) []Region {
+	in := &p.Instrs[i]
+	lo, hi := in.reg, in.reg+in.nReads
+	return p.regions[lo:hi:hi]
+}
+
+// Writes returns the regions instruction i writes, capped like Reads.
+func (p *Program) Writes(i int) []Region {
+	in := &p.Instrs[i]
+	lo := in.reg + in.nReads
+	hi := lo + in.nWrites
+	return p.regions[lo:hi:hi]
+}
+
+// Reset empties p for reuse under a new name, keeping the capacity of its
+// instruction and region arrays.
+func (p *Program) Reset(name string) {
+	p.Name = name
+	clear(p.Instrs) // drop the labels
+	p.Instrs = p.Instrs[:0]
+	p.regions = p.regions[:0]
+	p.fp.Store(nil)
+}
+
+// Clone returns a copy of p whose instruction and region arrays are
+// exactly as long as p's, so appending to the copy never writes into an
+// array another program uses.
+func (p *Program) Clone() *Program {
+	q := &Program{Name: p.Name, Instrs: make([]Instr, len(p.Instrs)), regions: make([]Region, len(p.regions))}
+	copy(q.Instrs, p.Instrs)
+	copy(q.regions, p.regions)
+	return q
 }
 
 // Len returns the instruction count.
@@ -310,7 +396,7 @@ func (p *Program) Disassemble() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; program %s (%d instructions)\n", p.Name, len(p.Instrs))
 	for i := range p.Instrs {
-		fmt.Fprintf(&b, "%5d  %s\n", i, p.Instrs[i].String())
+		fmt.Fprintf(&b, "%5d  %s\n", i, p.InstrString(i))
 	}
 	return b.String()
 }
@@ -327,14 +413,14 @@ func (p *Program) Validate(chip *hw.Chip) error {
 	const nu, np = 3, 5
 	var peakOK [nu][np]bool
 	for up := range chip.Compute {
-		if up.Unit >= 0 && int(up.Unit) < nu && up.Prec >= 0 && int(up.Prec) < np {
+		if up.Unit < nu && up.Prec < np {
 			peakOK[up.Unit][up.Prec] = true
 		}
 	}
 	// 0 = illegal, 1 = MTE-scheduled, 2 = present but not MTE-scheduled.
 	var pathKind [hw.NumLevels][hw.NumLevels]int8
 	for pth, spec := range chip.Paths {
-		if pth.Src >= 0 && int(pth.Src) < hw.NumLevels && pth.Dst >= 0 && int(pth.Dst) < hw.NumLevels {
+		if pth.Src < hw.NumLevels && pth.Dst < hw.NumLevels {
 			if spec.Engine.IsMTE() {
 				pathKind[pth.Src][pth.Dst] = 1
 			} else {
@@ -345,18 +431,18 @@ func (p *Program) Validate(chip *hw.Chip) error {
 	var bufCap [hw.NumLevels]int64
 	var bufOK [hw.NumLevels]bool
 	for l, c := range chip.BufferSize {
-		if l >= 0 && int(l) < hw.NumLevels {
+		if l < hw.NumLevels {
 			bufCap[l], bufOK[l] = c, true
 		}
 	}
 
-	flagSets := map[flagKey]int{}
-	flagWaits := map[flagKey]int{}
+	flagSets := map[FlagKey]int{}
+	flagWaits := map[FlagKey]int{}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		switch in.Kind {
 		case KindCompute:
-			ok := in.Unit >= 0 && int(in.Unit) < nu && in.Prec >= 0 && int(in.Prec) < np && peakOK[in.Unit][in.Prec]
+			ok := in.Unit < nu && in.Prec < np && peakOK[in.Unit][in.Prec]
 			if !ok {
 				if _, mapOK := chip.PeakOf(in.Unit, in.Prec); !mapOK {
 					return fmt.Errorf("isa: %s[%d]: precision %s unsupported on %s", p.Name, i, in.Prec, in.Unit)
@@ -367,7 +453,7 @@ func (p *Program) Validate(chip *hw.Chip) error {
 			}
 		case KindTransfer:
 			kind := int8(0)
-			if in.Path.Src >= 0 && int(in.Path.Src) < hw.NumLevels && in.Path.Dst >= 0 && int(in.Path.Dst) < hw.NumLevels {
+			if in.Path.Src < hw.NumLevels && in.Path.Dst < hw.NumLevels {
 				kind = pathKind[in.Path.Src][in.Path.Dst]
 			}
 			if kind == 0 {
@@ -383,7 +469,7 @@ func (p *Program) Validate(chip *hw.Chip) error {
 			if in.From == in.To {
 				return fmt.Errorf("isa: %s[%d]: flag with identical endpoints %s", p.Name, i, in.From)
 			}
-			k := flagKey{in.From, in.To, in.EventID}
+			k := in.FlagKey()
 			if in.Kind == KindSetFlag {
 				flagSets[k]++
 			} else {
@@ -394,36 +480,30 @@ func (p *Program) Validate(chip *hw.Chip) error {
 		default:
 			return fmt.Errorf("isa: %s[%d]: unknown kind %d", p.Name, i, int(in.Kind))
 		}
-		for _, rs := range [2][]Region{in.Reads, in.Writes} {
-			for _, r := range rs {
-				var cap int64
-				ok := false
-				if r.Level >= 0 && int(r.Level) < hw.NumLevels {
-					cap, ok = bufCap[r.Level], bufOK[r.Level]
-				} else {
-					cap, ok = chip.BufferSize[r.Level]
-				}
-				if !ok {
-					return fmt.Errorf("isa: %s[%d]: region in unknown level %s", p.Name, i, r.Level)
-				}
-				if r.Off < 0 || r.Size < 0 || r.End() > cap {
-					return fmt.Errorf("isa: %s[%d]: region %s exceeds %s capacity %d", p.Name, i, r, r.Level, cap)
-				}
+		// An instruction's reads and writes are adjacent in the arena.
+		for _, r := range p.regions[in.reg : in.reg+in.nReads+in.nWrites] {
+			var cap int64
+			ok := false
+			if r.Level < hw.NumLevels {
+				cap, ok = bufCap[r.Level], bufOK[r.Level]
+			} else {
+				cap, ok = chip.BufferSize[r.Level]
+			}
+			if !ok {
+				return fmt.Errorf("isa: %s[%d]: region in unknown level %s", p.Name, i, r.Level)
+			}
+			if r.Off < 0 || r.Size < 0 || r.End() > cap {
+				return fmt.Errorf("isa: %s[%d]: region %s exceeds %s capacity %d", p.Name, i, r, r.Level, cap)
 			}
 		}
 	}
 	for k, waits := range flagWaits {
 		if sets := flagSets[k]; waits > sets {
 			return fmt.Errorf("isa: %s: %d wait_flag but only %d set_flag for %s->%s ev=%d",
-				p.Name, waits, sets, k.from, k.to, k.event)
+				p.Name, waits, sets, hw.Component(k.pair>>8), hw.Component(k.pair), k.event)
 		}
 	}
 	return nil
-}
-
-type flagKey struct {
-	from, to hw.Component
-	event    int
 }
 
 // Stats summarizes the static content of a program.

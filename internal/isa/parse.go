@@ -32,7 +32,8 @@ const maxLine = 1<<20 - 1
 //	wait_flag A->B ev=N
 //	pipe_barrier(PIPE_ALL) | pipe_barrier(<Component>)
 //
-// where RGNS is a comma-separated list of Level[off:end) regions.
+// where RGNS is a comma-separated list of Level[off:end) regions. The
+// repeat and ev values are 32-bit signed integers.
 func Parse(name string, r io.Reader) (*Program, error) {
 	var b strings.Builder
 	if _, err := io.Copy(&b, r); err != nil {
@@ -43,10 +44,10 @@ func Parse(name string, r io.Reader) (*Program, error) {
 
 // ParseString is Parse on a program already in memory. It walks the
 // text once, and a valid program costs four allocations whatever its
-// length: the Program, its instruction slice, one arena that every
-// instruction's Reads and Writes are carved from, and one string holding
-// every label (so the program does not keep text alive). Only a line
-// with a non-ASCII byte or more than 16 fields allocates on its own.
+// length: the Program, its instruction slice, its region arena, and one
+// string holding every label (so the program does not keep text alive).
+// Only a line with a non-ASCII byte, more than 16 fields or more than 8
+// regions given out of order allocates on its own.
 func ParseString(name, text string) (*Program, error) {
 	prog := &Program{Name: name}
 	// A valid instruction line takes at least 16 bytes with its newline
@@ -80,6 +81,7 @@ func ParseString(name, text string) (*Program, error) {
 		}
 		labelBytes += len(in.Label)
 	}
+	prog.regions = p.regions
 	copyLabels(prog.Instrs, labelBytes)
 	return prog, nil
 }
@@ -102,21 +104,42 @@ func copyLabels(ins []Instr, total int) {
 	}
 }
 
-// parser holds the region arena of one program. An instruction's Reads
-// and Writes are capped sub-slices of it, so an append to one of them
-// reallocates instead of overwriting a neighbour's regions.
+// parser holds the region arena of one program and, for the line being
+// parsed, the arena ranges [rlo, rhi) and [wlo, whi) of its read and
+// write lists. A line's lists are appended to the arena in the order
+// they appear; place moves them to the arena layout, reads then writes.
 type parser struct {
-	regions []Region
-}
-
-// carved returns the regions appended to the arena since start.
-func (p *parser) carved(start int) []Region {
-	return p.regions[start:len(p.regions):len(p.regions)]
+	regions            []Region
+	rlo, rhi, wlo, whi int
 }
 
 // parseLine parses one instruction line (trimmed, not a comment) into
 // the zero instruction in.
 func (p *parser) parseLine(line string, in *Instr) error {
+	start := len(p.regions)
+	p.rlo, p.rhi, p.wlo, p.whi = start, start, start, start
+	if err := p.parseInstr(line, in); err != nil {
+		return err
+	}
+	p.place(in, start)
+	return nil
+}
+
+// place points in at the line's final read and write lists, which begin
+// at start in the arena. A line that gave writes before reads, or a list
+// twice, has them moved there, reads first.
+func (p *parser) place(in *Instr, start int) {
+	nr, nw := p.rhi-p.rlo, p.whi-p.wlo
+	if (nr > 0 && p.rlo != start) || (nw > 0 && p.wlo != start+nr) || len(p.regions) != start+nr+nw {
+		var tmp [8]Region
+		both := append(append(tmp[:0], p.regions[p.rlo:p.rhi]...), p.regions[p.wlo:p.whi]...)
+		p.regions = append(p.regions[:start], both...)
+	}
+	in.reg, in.nReads, in.nWrites = uint32(start), uint32(nr), uint32(nw)
+}
+
+// parseInstr parses the fields of one instruction line.
+func (p *parser) parseInstr(line string, in *Instr) error {
 	// Split off the label comment.
 	if i := labelAt(line); i >= 0 {
 		in.Label = strings.TrimSpace(line[i+3:])
@@ -162,13 +185,13 @@ func (p *parser) parseLine(line string, in *Instr) error {
 			return fmt.Errorf("copy needs bytes=N")
 		}
 		// Default regions when not given explicitly.
-		if len(in.Reads) == 0 {
+		if p.rhi == p.rlo {
 			p.regions = append(p.regions, Region{Level: sl, Off: 0, Size: in.Bytes})
-			in.Reads = p.carved(len(p.regions) - 1)
+			p.rlo, p.rhi = len(p.regions)-1, len(p.regions)
 		}
-		if len(in.Writes) == 0 {
+		if p.whi == p.wlo {
 			p.regions = append(p.regions, Region{Level: dl, Off: 0, Size: in.Bytes})
-			in.Writes = p.carved(len(p.regions) - 1)
+			p.wlo, p.whi = len(p.regions)-1, len(p.regions)
 		}
 
 	case head == "set_flag" || head == "wait_flag":
@@ -184,11 +207,11 @@ func (p *parser) parseLine(line string, in *Instr) error {
 		if !okF || !okT {
 			return fmt.Errorf("unknown components %s", rest[0])
 		}
-		ev, err := parseInt(rest[1], "ev")
+		ev, err := parseInt(rest[1], "ev", 32)
 		if err != nil {
 			return err
 		}
-		in.From, in.To, in.EventID = cf, ct, int(ev)
+		in.From, in.To, in.EventID = cf, ct, int32(ev)
 		if head == "set_flag" {
 			in.Kind = KindSetFlag
 		} else {
@@ -284,14 +307,14 @@ func parseArrow(s string) (string, string, error) {
 	return a, b, nil
 }
 
-// parseInt parses "key=value".
-func parseInt(s, key string) (int64, error) {
+// parseInt parses "key=value" as a signed integer of the given bit size.
+func parseInt(s, key string, bits int) (int64, error) {
 	// Compared piecewise: HasPrefix(s, key+"=") builds the prefix for
 	// every field, a measurable share of the parse.
 	if len(s) <= len(key) || s[len(key)] != '=' || s[:len(key)] != key {
 		return 0, fmt.Errorf("expected %s=N, got %q", key, s)
 	}
-	v, err := strconv.ParseInt(s[len(key)+1:], 10, 64)
+	v, err := strconv.ParseInt(s[len(key)+1:], 10, bits)
 	if err != nil {
 		return 0, fmt.Errorf("bad %s value in %q", key, s)
 	}
@@ -309,17 +332,17 @@ func (p *parser) parseKVs(fields []string, in *Instr) error {
 		var err error
 		switch key {
 		case "ops":
-			in.Ops, err = parseInt(f, key)
+			in.Ops, err = parseInt(f, key, 64)
 		case "repeat":
 			var v int64
-			v, err = parseInt(f, key)
-			in.Repeat = int(v)
+			v, err = parseInt(f, key, 32)
+			in.Repeat = int32(v)
 		case "bytes":
-			in.Bytes, err = parseInt(f, key)
+			in.Bytes, err = parseInt(f, key, 64)
 		case "reads":
-			in.Reads, err = p.parseRegions(val)
+			p.rlo, p.rhi, err = p.parseRegions(val)
 		case "writes":
-			in.Writes, err = p.parseRegions(val)
+			p.wlo, p.whi, err = p.parseRegions(val)
 		default:
 			return fmt.Errorf("unknown field %q", f)
 		}
@@ -330,32 +353,33 @@ func (p *parser) parseKVs(fields []string, in *Instr) error {
 	return nil
 }
 
-// parseRegions parses "Level[off:end),Level[off:end)" into the arena.
-func (p *parser) parseRegions(s string) ([]Region, error) {
+// parseRegions parses "Level[off:end),Level[off:end)" onto the end of
+// the arena and returns the range it took.
+func (p *parser) parseRegions(s string) (lo, hi int, err error) {
 	start := len(p.regions)
 	for more := true; more; {
 		var part string
 		part, s, more = strings.Cut(s, ",")
 		open := strings.IndexByte(part, '[')
 		if open < 0 || !strings.HasSuffix(part, ")") {
-			return nil, fmt.Errorf("bad region %q", part)
+			return 0, 0, fmt.Errorf("bad region %q", part)
 		}
 		level, ok := levelNamed(part[:open])
 		if !ok {
-			return nil, fmt.Errorf("unknown level in region %q", part)
+			return 0, 0, fmt.Errorf("unknown level in region %q", part)
 		}
 		lo, hi, ok := strings.Cut(part[open+1:len(part)-1], ":")
 		if !ok {
-			return nil, fmt.Errorf("bad region bounds %q", part)
+			return 0, 0, fmt.Errorf("bad region bounds %q", part)
 		}
 		off, err1 := strconv.ParseInt(lo, 10, 64)
 		end, err2 := strconv.ParseInt(hi, 10, 64)
 		if err1 != nil || err2 != nil || end < off {
-			return nil, fmt.Errorf("bad region bounds %q", part)
+			return 0, 0, fmt.Errorf("bad region bounds %q", part)
 		}
 		p.regions = append(p.regions, Region{Level: level, Off: off, Size: end - off})
 	}
-	return p.carved(start), nil
+	return start, len(p.regions), nil
 }
 
 // Name tables of the text format.

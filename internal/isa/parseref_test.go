@@ -11,7 +11,9 @@ import (
 )
 
 // This file keeps the line-scanner parser that Parse replaced, copied
-// verbatim apart from the ref prefix on its names. It is the reference
+// verbatim apart from the ref prefix on its names, the refInstr that
+// carries an instruction's regions until it is appended, and the 32-bit
+// range of repeat and ev. It is the reference
 // the production parser is checked against: the same programs, the same
 // fingerprints and byte-identical error text (TestParseMatchesReference,
 // FuzzParse).
@@ -36,7 +38,7 @@ func refParse(name string, r io.Reader) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("isa: %s:%d: %w", name, lineNo, err)
 		}
-		prog.Append(in)
+		prog.AppendWith(in.Instr, in.reads, in.writes)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("isa: %s: %w", name, err)
@@ -59,9 +61,15 @@ var (
 	}
 )
 
+// refInstr is a parsed instruction with its regions.
+type refInstr struct {
+	Instr
+	reads, writes []Region
+}
+
 // refParseLine parses one instruction line (without index or surrounding
 // whitespace).
-func refParseLine(line string) (Instr, error) {
+func refParseLine(line string) (refInstr, error) {
 	// Split off the label comment.
 	var label string
 	if i := strings.Index(line, " ; "); i >= 0 {
@@ -71,66 +79,66 @@ func refParseLine(line string) (Instr, error) {
 	// Strip a leading numeric index (disassembly emits one).
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
-		return Instr{}, fmt.Errorf("empty instruction")
+		return refInstr{}, fmt.Errorf("empty instruction")
 	}
 	if _, err := strconv.Atoi(fields[0]); err == nil {
 		fields = fields[1:]
 		if len(fields) == 0 {
-			return Instr{}, fmt.Errorf("index without instruction")
+			return refInstr{}, fmt.Errorf("index without instruction")
 		}
 	}
 
-	var in Instr
+	var in refInstr
 	head := fields[0]
 	rest := fields[1:]
 	switch {
 	case head == "copy":
 		if len(rest) < 2 {
-			return Instr{}, fmt.Errorf("copy needs a path and bytes")
+			return refInstr{}, fmt.Errorf("copy needs a path and bytes")
 		}
 		src, dst, err := refParseArrow(rest[0])
 		if err != nil {
-			return Instr{}, err
+			return refInstr{}, err
 		}
 		sl, okS := refParseLevel[src]
 		dl, okD := refParseLevel[dst]
 		if !okS || !okD {
-			return Instr{}, fmt.Errorf("unknown path %s", rest[0])
+			return refInstr{}, fmt.Errorf("unknown path %s", rest[0])
 		}
 		in.Kind = KindTransfer
 		in.Path = hw.Path{Src: sl, Dst: dl}
 		if err := refParseKVs(rest[1:], &in); err != nil {
-			return Instr{}, err
+			return refInstr{}, err
 		}
 		if in.Bytes <= 0 {
-			return Instr{}, fmt.Errorf("copy needs bytes=N")
+			return refInstr{}, fmt.Errorf("copy needs bytes=N")
 		}
 		// Default regions when not given explicitly.
-		if len(in.Reads) == 0 {
-			in.Reads = []Region{{Level: sl, Off: 0, Size: in.Bytes}}
+		if len(in.reads) == 0 {
+			in.reads = []Region{{Level: sl, Off: 0, Size: in.Bytes}}
 		}
-		if len(in.Writes) == 0 {
-			in.Writes = []Region{{Level: dl, Off: 0, Size: in.Bytes}}
+		if len(in.writes) == 0 {
+			in.writes = []Region{{Level: dl, Off: 0, Size: in.Bytes}}
 		}
 
 	case head == "set_flag" || head == "wait_flag":
 		if len(rest) < 2 {
-			return Instr{}, fmt.Errorf("%s needs endpoints and ev=N", head)
+			return refInstr{}, fmt.Errorf("%s needs endpoints and ev=N", head)
 		}
 		from, to, err := refParseArrow(rest[0])
 		if err != nil {
-			return Instr{}, err
+			return refInstr{}, err
 		}
 		cf, okF := refParseComp[from]
 		ct, okT := refParseComp[to]
 		if !okF || !okT {
-			return Instr{}, fmt.Errorf("unknown components %s", rest[0])
+			return refInstr{}, fmt.Errorf("unknown components %s", rest[0])
 		}
-		ev, err := refParseInt(rest[1], "ev")
+		ev, err := refParseInt(rest[1], "ev", 32)
 		if err != nil {
-			return Instr{}, err
+			return refInstr{}, err
 		}
-		in.From, in.To, in.EventID = cf, ct, int(ev)
+		in.From, in.To, in.EventID = cf, ct, int32(ev)
 		if head == "set_flag" {
 			in.Kind = KindSetFlag
 		} else {
@@ -145,7 +153,7 @@ func refParseLine(line string) (Instr, error) {
 		} else {
 			c, ok := refParseComp[arg]
 			if !ok {
-				return Instr{}, fmt.Errorf("unknown barrier pipe %q", arg)
+				return refInstr{}, fmt.Errorf("unknown barrier pipe %q", arg)
 			}
 			in.Scope = BarrierPipe
 			in.Pipe = c
@@ -156,20 +164,20 @@ func refParseLine(line string) (Instr, error) {
 		u, okU := refParseUnit[parts[0]]
 		p, okP := refParsePrec[parts[1]]
 		if !okU || !okP {
-			return Instr{}, fmt.Errorf("unknown precision-unit %q", head)
+			return refInstr{}, fmt.Errorf("unknown precision-unit %q", head)
 		}
 		in.Kind = KindCompute
 		in.Unit, in.Prec = u, p
 		in.Repeat = 1
 		if err := refParseKVs(rest, &in); err != nil {
-			return Instr{}, err
+			return refInstr{}, err
 		}
 		if in.Ops <= 0 {
-			return Instr{}, fmt.Errorf("compute needs ops=N")
+			return refInstr{}, fmt.Errorf("compute needs ops=N")
 		}
 
 	default:
-		return Instr{}, fmt.Errorf("unknown instruction %q", head)
+		return refInstr{}, fmt.Errorf("unknown instruction %q", head)
 	}
 	in.Label = label
 	return in, nil
@@ -185,11 +193,11 @@ func refParseArrow(s string) (string, string, error) {
 }
 
 // parseInt parses "key=value".
-func refParseInt(s, key string) (int64, error) {
+func refParseInt(s, key string, bits int) (int64, error) {
 	if !strings.HasPrefix(s, key+"=") {
 		return 0, fmt.Errorf("expected %s=N, got %q", key, s)
 	}
-	v, err := strconv.ParseInt(s[len(key)+1:], 10, 64)
+	v, err := strconv.ParseInt(s[len(key)+1:], 10, bits)
 	if err != nil {
 		return 0, fmt.Errorf("bad %s value in %q", key, s)
 	}
@@ -197,23 +205,23 @@ func refParseInt(s, key string) (int64, error) {
 }
 
 // refParseKVs consumes ops=/repeat=/bytes=/reads=/writes= fields.
-func refParseKVs(fields []string, in *Instr) error {
+func refParseKVs(fields []string, in *refInstr) error {
 	for _, f := range fields {
 		switch {
 		case strings.HasPrefix(f, "ops="):
-			v, err := refParseInt(f, "ops")
+			v, err := refParseInt(f, "ops", 64)
 			if err != nil {
 				return err
 			}
 			in.Ops = v
 		case strings.HasPrefix(f, "repeat="):
-			v, err := refParseInt(f, "repeat")
+			v, err := refParseInt(f, "repeat", 32)
 			if err != nil {
 				return err
 			}
-			in.Repeat = int(v)
+			in.Repeat = int32(v)
 		case strings.HasPrefix(f, "bytes="):
-			v, err := refParseInt(f, "bytes")
+			v, err := refParseInt(f, "bytes", 64)
 			if err != nil {
 				return err
 			}
@@ -223,13 +231,13 @@ func refParseKVs(fields []string, in *Instr) error {
 			if err != nil {
 				return err
 			}
-			in.Reads = rs
+			in.reads = rs
 		case strings.HasPrefix(f, "writes="):
 			rs, err := refParseRegions(f[len("writes="):])
 			if err != nil {
 				return err
 			}
-			in.Writes = rs
+			in.writes = rs
 		default:
 			return fmt.Errorf("unknown field %q", f)
 		}

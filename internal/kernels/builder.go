@@ -19,16 +19,20 @@ import (
 type Builder struct {
 	chip *hw.Chip
 	// prog is the stream under construction. Until the first Program
-	// call its Instrs live in buf, a buffer borrowed from instrBufs.
-	// A comparing builder has neither.
-	prog *isa.Program
-	buf  *[]isa.Instr
+	// call it is a program borrowed from progBufs (pooled is set); after
+	// it, prog is the program Program returned last (shared is set)
+	// until the next emission continues the stream in a copy. A
+	// comparing builder has none.
+	prog           *isa.Program
+	pooled, shared bool
 	// want is the program a comparing builder checks the stream
 	// against; n counts the instructions matched so far.
 	want *isa.Program
 	n    int
-	next map[hw.Level]int64
-	ev   map[[2]hw.Component]int
+	// next is the bump pointer of each buffer level, ev the next event
+	// id of each (from, to) component pair.
+	next [hw.NumLevels]int64
+	ev   [hw.NumComponents][hw.NumComponents]int
 	err  error
 }
 
@@ -36,13 +40,13 @@ type Builder struct {
 // stream departs from the program it is checking against.
 type mismatch struct{}
 
-// instrBufs holds instruction buffers between builds. A build emits its
-// stream one instruction at a time; in a fresh slice that regrows the
-// array about log2(n) times, re-zeroing and re-copying every earlier
-// instruction, while a reused buffer has already grown to the size of
-// the builds it served and the program is copied out once, at its
-// exact length.
-var instrBufs = sync.Pool{New: func() any { return new([]isa.Instr) }}
+// progBufs holds programs between builds, each with an instruction
+// buffer and a region buffer. A build emits its stream one instruction
+// at a time; in fresh slices that regrows the arrays about log2(n)
+// times, re-zeroing and re-copying every earlier element, while reused
+// buffers have already grown to the size of the builds they served and
+// the program is copied out once, at its exact length.
+var progBufs = sync.Pool{New: func() any { return new(isa.Program) }}
 
 // NewBuilder returns a builder for a program with the given name.
 func NewBuilder(chip *hw.Chip, name string) *Builder {
@@ -53,30 +57,30 @@ func NewBuilder(chip *hw.Chip, name string) *Builder {
 // a non-nil want, a comparing builder that panics with mismatch unless
 // the program it would build is want.
 func newBuilder(chip *hw.Chip, name string, want *isa.Program) *Builder {
-	b := &Builder{
-		chip: chip,
-		want: want,
-		next: map[hw.Level]int64{},
-		ev:   map[[2]hw.Component]int{},
-	}
+	b := &Builder{chip: chip, want: want}
 	if want != nil {
 		if want.Name != name {
 			panic(mismatch{})
 		}
 		return b
 	}
-	b.buf = instrBufs.Get().(*[]isa.Instr)
-	b.prog = &isa.Program{Name: name, Instrs: (*b.buf)[:0]}
+	b.prog = progBufs.Get().(*isa.Program)
+	b.prog.Reset(name)
+	b.pooled = true
 	return b
 }
 
-// push emits one instruction, or checks it against want.
-func (b *Builder) push(in isa.Instr) {
+// push emits one instruction with its regions, or checks it against
+// want.
+func (b *Builder) push(in isa.Instr, reads, writes []isa.Region) {
 	if b.want == nil {
-		b.prog.Append(in)
+		if b.shared {
+			b.prog, b.shared = b.prog.Clone(), false
+		}
+		b.prog.AppendWith(in, reads, writes)
 		return
 	}
-	if b.n >= len(b.want.Instrs) || !isa.InstrEqual(&in, &b.want.Instrs[b.n]) {
+	if b.n >= len(b.want.Instrs) || !b.want.InstrEqual(b.n, &in, reads, writes) {
 		panic(mismatch{})
 	}
 	b.n++
@@ -95,12 +99,12 @@ func (b *Builder) fail(format string, args ...any) {
 
 // Alloc bump-allocates size bytes in the given buffer level.
 func (b *Builder) Alloc(level hw.Level, size int64) isa.Region {
-	off := b.next[level]
+	off := b.Used(level)
 	if size <= 0 {
 		b.fail("allocation of %d bytes in %s", size, level)
 		return isa.Region{Level: level}
 	}
-	if cap, ok := b.chip.BufferSize[level]; !ok || off+size > cap {
+	if cap, ok := b.chip.BufferSize[level]; !ok || level >= hw.NumLevels || off+size > cap {
 		b.fail("buffer %s exhausted: %d + %d > %d", level, off, size, b.chip.BufferSize[level])
 		return isa.Region{Level: level}
 	}
@@ -111,7 +115,7 @@ func (b *Builder) Alloc(level hw.Level, size int64) isa.Region {
 // Free returns the bump pointer of the level to the start of region r if
 // r is the most recent allocation. It lets loops reuse scratch space.
 func (b *Builder) Free(r isa.Region) {
-	if b.next[r.Level] == r.End() {
+	if r.Level < hw.NumLevels && b.next[r.Level] == r.End() {
 		b.next[r.Level] = r.Off
 	}
 }
@@ -128,13 +132,11 @@ func (b *Builder) Copy(path hw.Path, src, dst isa.Region, label string) {
 		return
 	}
 	b.push(isa.Instr{
-		Kind:   isa.KindTransfer,
-		Path:   path,
-		Bytes:  src.Size,
-		Reads:  []isa.Region{src},
-		Writes: []isa.Region{dst},
-		Label:  label,
-	})
+		Kind:  isa.KindTransfer,
+		Path:  path,
+		Bytes: src.Size,
+		Label: label,
+	}, []isa.Region{src}, []isa.Region{dst})
 }
 
 // Compute emits a compute instruction with explicit memory effects.
@@ -148,42 +150,43 @@ func (b *Builder) Compute(u hw.Unit, p hw.Precision, ops int64, repeat int, read
 		Unit:   u,
 		Prec:   p,
 		Ops:    ops,
-		Repeat: repeat,
-		Reads:  reads,
-		Writes: writes,
+		Repeat: int32(repeat),
 		Label:  label,
-	})
+	}, reads, writes)
 }
 
 // ScalarWork emits n scalar bookkeeping instructions (address
 // computation, loop control), each performing ops INT32 operations.
 func (b *Builder) ScalarWork(n int, ops int64) {
 	for i := 0; i < n; i++ {
-		b.push(isa.Compute(hw.Scalar, hw.INT32, ops))
+		b.push(isa.Compute(hw.Scalar, hw.INT32, ops), nil, nil)
 	}
 }
 
 // NewEvent reserves a fresh flag-event id between two components.
 func (b *Builder) NewEvent(from, to hw.Component) int {
-	k := [2]hw.Component{from, to}
-	id := b.ev[k]
-	b.ev[k] = id + 1
+	if from >= hw.NumComponents || to >= hw.NumComponents {
+		b.fail("event between unknown components %s and %s", from, to)
+		return 0
+	}
+	id := b.ev[from][to]
+	b.ev[from][to] = id + 1
 	return id
 }
 
 // Set emits a set_flag.
 func (b *Builder) Set(from, to hw.Component, event int) {
-	b.push(isa.SetFlag(from, to, event))
+	b.push(isa.SetFlag(from, to, event), nil, nil)
 }
 
 // Wait emits a wait_flag.
 func (b *Builder) Wait(from, to hw.Component, event int) {
-	b.push(isa.WaitFlag(from, to, event))
+	b.push(isa.WaitFlag(from, to, event), nil, nil)
 }
 
 // Barrier emits pipe_barrier(PIPE_ALL).
 func (b *Builder) Barrier() {
-	b.push(isa.BarrierAllInstr())
+	b.push(isa.BarrierAllInstr(), nil, nil)
 }
 
 // StageSync separates two pipeline stages. With minimalSync it emits a
@@ -212,32 +215,35 @@ func (b *Builder) Program() (*isa.Program, error) {
 		return b.want, nil
 	}
 	if b.err != nil {
-		b.release(nil)
+		b.release(&isa.Program{Name: b.prog.Name}, false)
 		return nil, b.err
 	}
-	p := &isa.Program{Name: b.prog.Name, Instrs: make([]isa.Instr, len(b.prog.Instrs))}
-	copy(p.Instrs, b.prog.Instrs)
-	// The builder keeps reading p's array; its length equals its
-	// capacity, so a later append copies instead of writing into it.
-	b.release(p.Instrs)
+	p := b.prog.Clone()
+	b.release(p, true)
 	if err := p.Validate(b.chip); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// release returns the borrowed buffer to instrBufs, cleared so that it
-// pins no regions or labels, and continues the stream in instrs. After
-// the first call the builder appends only to arrays it allocates itself.
-func (b *Builder) release(instrs []isa.Instr) {
-	if b.buf != nil {
-		clear(b.prog.Instrs)
-		*b.buf = b.prog.Instrs[:0]
-		instrBufs.Put(b.buf)
-		b.buf = nil
+// release returns a borrowed program to progBufs, reset so that it pins
+// no labels, and continues the stream in next; shared marks next as a
+// program the builder has returned, which it copies before appending.
+// After the first call the builder appends only to programs it
+// allocates itself.
+func (b *Builder) release(next *isa.Program, shared bool) {
+	if b.pooled {
+		b.prog.Reset("")
+		progBufs.Put(b.prog)
+		b.pooled = false
 	}
-	b.prog.Instrs = instrs
+	b.prog, b.shared = next, shared
 }
 
 // Used returns the bytes currently allocated in the level.
-func (b *Builder) Used(level hw.Level) int64 { return b.next[level] }
+func (b *Builder) Used(level hw.Level) int64 {
+	if level >= hw.NumLevels {
+		return 0
+	}
+	return b.next[level]
+}

@@ -136,26 +136,26 @@ func (e *Elementwise) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa
 	}
 	b := newBuilder(chip, e.OpName+"/"+variant, want)
 
-	// Buffer plan. P staging slots per tensor; the result either shares
-	// the first input's staging buffer (spatial dependency!) or gets its
-	// own region when RSD is applied.
+	// Buffer plan. P staging slots per tensor (at most 2); the result
+	// either shares the first input's staging buffer (spatial
+	// dependency!) or gets its own region when RSD is applied.
+	// ubIn[s*inputs+i] stages input i in slot s.
 	p := 1
 	if opts.PingPong {
 		p = 2
 	}
-	ubIn := make([][]isa.Region, p)
+	ubIn := make([]isa.Region, p*inputs)
 	for s := 0; s < p; s++ {
-		ubIn[s] = make([]isa.Region, inputs)
 		for i := 0; i < inputs; i++ {
-			ubIn[s][i] = b.Alloc(hw.UB, tileBytes)
+			ubIn[s*inputs+i] = b.Alloc(hw.UB, tileBytes)
 		}
 	}
-	ubOut := make([]isa.Region, p)
+	var ubOut [2]isa.Region
 	for s := 0; s < p; s++ {
 		if opts.SeparateOutputBuffer {
 			ubOut[s] = b.Alloc(hw.UB, tileBytes)
 		} else {
-			ubOut[s] = ubIn[s][0]
+			ubOut[s] = ubIn[s*inputs]
 		}
 	}
 	var ubConst isa.Region
@@ -163,22 +163,23 @@ func (e *Elementwise) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa
 		ubConst = b.Alloc(hw.UB, e.ConstBytes)
 	}
 
-	// GM layout: inputs, then the constant, then the output.
+	// GM layout: the inputs (input i at i*totalBytes), then the
+	// constant, then the output.
 	totalBytes := e.Elems * e.ElemBytes
-	gmIn := make([]int64, inputs)
-	for i := 0; i < inputs; i++ {
-		gmIn[i] = int64(i) * totalBytes
-	}
 	gmConst := int64(inputs) * totalBytes
 	gmOut := gmConst + e.ConstBytes
 
 	// Flag events, one per staging slot.
-	evInReady := make([]int, p)
-	evOutReady := make([]int, p)
+	var evInReady, evOutReady [2]int
 	for s := 0; s < p; s++ {
 		evInReady[s] = b.NewEvent(hw.CompMTEGM, hw.CompVector)
 		evOutReady[s] = b.NewEvent(hw.CompVector, hw.CompMTEUB)
 	}
+
+	// The builder copies each instruction's regions into the program,
+	// so one reads list serves every tile.
+	var readsBuf [4]isa.Region
+	reads := readsBuf[:0]
 
 	if e.ConstBytes > 0 && opts.HoistInvariantTransfers {
 		b.Copy(hw.PathGMToUB,
@@ -211,17 +212,17 @@ func (e *Elementwise) emit(chip *hw.Chip, opts Options, want *isa.Program) (*isa
 		// Load input tiles.
 		for i := 0; i < inputs; i++ {
 			b.Copy(hw.PathGMToUB,
-				isa.Region{Level: hw.GM, Off: gmIn[i] + int64(k)*tileBytes, Size: curBytes},
-				isa.Region{Level: hw.UB, Off: ubIn[s][i].Off, Size: curBytes},
-				fmt.Sprintf("load-x%d", i))
+				isa.Region{Level: hw.GM, Off: int64(i)*totalBytes + int64(k)*tileBytes, Size: curBytes},
+				isa.Region{Level: hw.UB, Off: ubIn[s*inputs+i].Off, Size: curBytes},
+				loadLabel(i))
 		}
 		b.Set(hw.CompMTEGM, hw.CompVector, evInReady[s])
 		b.Wait(hw.CompMTEGM, hw.CompVector, evInReady[s])
 
 		// Vector pipeline over the tile.
-		reads := make([]isa.Region, 0, inputs+1)
+		reads = reads[:0]
 		for i := 0; i < inputs; i++ {
-			reads = append(reads, isa.Region{Level: hw.UB, Off: ubIn[s][i].Off, Size: curBytes})
+			reads = append(reads, isa.Region{Level: hw.UB, Off: ubIn[s*inputs+i].Off, Size: curBytes})
 		}
 		if e.ConstBytes > 0 {
 			reads = append(reads, ubConst)
@@ -404,4 +405,15 @@ func NewDropoutDoMask() *Elementwise {
 		SupportedStrategies: []Strategy{RSD, PP, EA},
 	}
 	return e
+}
+
+// loadLabels are the labels of the first inputs' loads.
+var loadLabels = [...]string{"load-x0", "load-x1", "load-x2", "load-x3"}
+
+// loadLabel labels the load of input i.
+func loadLabel(i int) string {
+	if i < len(loadLabels) {
+		return loadLabels[i]
+	}
+	return fmt.Sprintf("load-x%d", i)
 }

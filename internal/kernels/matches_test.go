@@ -95,8 +95,12 @@ func TestMatchesAgreesWithBuild(t *testing.T) {
 			for j, st := range states {
 				wants := []*isa.Program{other[i]}
 				if p := progs[j]; p != nil {
-					short := &isa.Program{Name: p.Name, Instrs: p.Instrs[:len(p.Instrs)-1]}
-					long := &isa.Program{Name: p.Name, Instrs: append(p.Instrs[:len(p.Instrs):len(p.Instrs)], p.Instrs[0])}
+					short := &isa.Program{Name: p.Name}
+					for k := range p.Len() - 1 {
+						short.AppendFrom(p, k)
+					}
+					long := p.Clone()
+					long.AppendFrom(p, 0)
 					wants = append(wants, p, short, long)
 				}
 				if n := progs[(j+1)%len(progs)]; n != nil {

@@ -36,9 +36,9 @@ const (
 	depWAW          // j writes what i wrote
 )
 
-// dependsOn returns the strongest memory dependence of j on i (i earlier
-// in program order).
-func dependsOn(i, j *isa.Instr) depKind {
+// dependsOn returns the strongest memory dependence of instruction j of
+// prog on instruction i (i earlier in program order).
+func dependsOn(prog *isa.Program, i, j int) depKind {
 	overlap := func(a, b []isa.Region) bool {
 		for _, ra := range a {
 			for _, rb := range b {
@@ -50,11 +50,11 @@ func dependsOn(i, j *isa.Instr) depKind {
 		return false
 	}
 	switch {
-	case overlap(i.Writes, j.Reads):
+	case overlap(prog.Writes(i), prog.Reads(j)):
 		return depRAW
-	case overlap(i.Writes, j.Writes):
+	case overlap(prog.Writes(i), prog.Writes(j)):
 		return depWAW
-	case overlap(i.Reads, j.Writes):
+	case overlap(prog.Reads(i), prog.Writes(j)):
 		return depWAR
 	default:
 		return depNone
@@ -79,21 +79,20 @@ func isWork(in *isa.Instr) bool {
 // The result typically has far fewer synchronization points than a
 // barrier-heavy input while enforcing the same data flow.
 func MinimalSync(chip *hw.Chip, prog *isa.Program) (*isa.Program, error) {
-	// Collect the work instructions in program order.
-	var work []isa.Instr
+	// Collect the indices of the work instructions in program order.
+	var work []int
 	for i := range prog.Instrs {
-		in := prog.Instrs[i]
-		if isWork(&in) {
-			work = append(work, in)
+		if isWork(&prog.Instrs[i]) {
+			work = append(work, i)
 		}
 	}
 	out := &isa.Program{Name: prog.Name + "+minsync"}
 
 	comps := make([]hw.Component, len(work))
-	for i := range work {
-		c, ok := work[i].Component(chip)
+	for i, w := range work {
+		c, ok := prog.Instrs[w].Component(chip)
 		if !ok {
-			return nil, fmt.Errorf("passes: instruction not routable: %s", work[i].String())
+			return nil, fmt.Errorf("passes: instruction not routable: %s", prog.InstrString(w))
 		}
 		comps[i] = c
 	}
@@ -115,7 +114,7 @@ func MinimalSync(chip *hw.Chip, prog *isa.Program) (*isa.Program, error) {
 			if comps[i] == comps[j] {
 				continue
 			}
-			if dependsOn(&work[i], &work[j]) == depRAW {
+			if dependsOn(prog, work[i], work[j]) == depRAW {
 				if prev, ok := lastProducer[comps[i]]; !ok || i > prev {
 					lastProducer[comps[i]] = i
 				}
@@ -148,7 +147,7 @@ func MinimalSync(chip *hw.Chip, prog *isa.Program) (*isa.Program, error) {
 			out.Append(isa.WaitFlag(from, comps[j], ev))
 			covered[key] = i
 		}
-		out.Append(work[j])
+		out.AppendFrom(prog, work[j])
 	}
 	return out, fixSetPlacement(chip, prog, out)
 }
@@ -169,37 +168,44 @@ func HoistLoads(chip *hw.Chip, prog *isa.Program, window int) (*isa.Program, err
 	if window <= 0 {
 		window = 32
 	}
-	instrs := make([]isa.Instr, len(prog.Instrs))
-	copy(instrs, prog.Instrs)
+	// order[k] is the index in prog of the instruction at position k.
+	order := make([]int, len(prog.Instrs))
+	for i := range order {
+		order[i] = i
+	}
 
-	for j := 0; j < len(instrs); j++ {
-		if instrs[j].Kind != isa.KindTransfer {
+	for j := 0; j < len(order); j++ {
+		in := &prog.Instrs[order[j]]
+		if in.Kind != isa.KindTransfer {
 			continue
 		}
 		// Walk backwards over reorderable predecessors.
 		target := j
 		for k := j - 1; k >= 0 && j-k <= window; k-- {
-			p := &instrs[k]
+			p := &prog.Instrs[order[k]]
 			if !isWork(p) {
 				break // sync fences the reorder
 			}
-			cj, _ := instrs[j].Component(chip)
+			cj, _ := in.Component(chip)
 			ck, _ := p.Component(chip)
 			if ck == cj {
 				break // same queue: order is semantic
 			}
-			if dependsOn(p, &instrs[j]) != depNone {
+			if dependsOn(prog, order[k], order[j]) != depNone {
 				break
 			}
 			target = k
 		}
 		if target < j {
-			moved := instrs[j]
-			copy(instrs[target+1:j+1], instrs[target:j])
-			instrs[target] = moved
+			moved := order[j]
+			copy(order[target+1:j+1], order[target:j])
+			order[target] = moved
 		}
 	}
-	out := &isa.Program{Name: prog.Name + "+hoist", Instrs: instrs}
+	out := &isa.Program{Name: prog.Name + "+hoist"}
+	for _, i := range order {
+		out.AppendFrom(prog, i)
+	}
 	if err := out.Validate(chip); err != nil {
 		return nil, err
 	}
@@ -235,10 +241,10 @@ func CheckOrdering(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error {
 			if ci == cj {
 				continue
 			}
-			if dependsOn(&prog.Instrs[i], &prog.Instrs[j]) == depRAW {
+			if dependsOn(prog, i, j) == depRAW {
 				if starts[j]+1e-9 < ends[i] {
 					return fmt.Errorf("passes: RAW violated: %d (%s) starts %.3f before %d (%s) ends %.3f",
-						j, prog.Instrs[j].String(), starts[j], i, prog.Instrs[i].String(), ends[i])
+						j, prog.InstrString(j), starts[j], i, prog.InstrString(i), ends[i])
 				}
 			}
 		}

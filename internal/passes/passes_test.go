@@ -31,15 +31,12 @@ func barrierHeavy() *isa.Program {
 	for k := int64(0); k < tiles; k++ {
 		in := isa.Region{Level: hw.UB, Off: 0, Size: tileBytes}
 		out := isa.Region{Level: hw.UB, Off: tileBytes, Size: tileBytes}
-		prog.Append(isa.Transfer(hw.PathGMToUB, k*tileBytes, in.Off, tileBytes))
+		prog.AppendTransfer(hw.PathGMToUB, k*tileBytes, in.Off, tileBytes)
 		prog.Append(isa.BarrierAllInstr())
 		c := isa.Compute(hw.Vector, hw.FP16, tileBytes/2)
-		c.Reads = []isa.Region{in}
-		c.Writes = []isa.Region{out}
-		prog.Append(c)
+		prog.AppendWith(c, []isa.Region{in}, []isa.Region{out})
 		prog.Append(isa.BarrierAllInstr())
-		st := isa.Transfer(hw.PathUBToGM, out.Off, 1<<20+k*tileBytes, tileBytes)
-		prog.Append(st)
+		prog.AppendTransfer(hw.PathUBToGM, out.Off, 1<<20+k*tileBytes, tileBytes)
 		prog.Append(isa.BarrierAllInstr())
 	}
 	return prog
@@ -114,11 +111,11 @@ func TestHoistLoadsImprovesDispatchBound(t *testing.T) {
 	chip := hw.TrainingChip()
 	chip.DispatchLatency = 50
 	prog := &isa.Program{Name: "buried-load"}
-	prog.Append(isa.Transfer(hw.PathGMToL1, 0, 0, 65536))
+	prog.AppendTransfer(hw.PathGMToL1, 0, 0, 65536)
 	for i := 0; i < 80; i++ {
 		prog.Append(isa.Compute(hw.Scalar, hw.INT32, 4))
 	}
-	prog.Append(isa.Transfer(hw.PathGMToL1, 1<<20, 65536, 65536))
+	prog.AppendTransfer(hw.PathGMToL1, 1<<20, 65536, 65536)
 
 	before := simulate(t, chip, prog)
 	hoisted, err := HoistLoads(chip, prog, 128)
@@ -141,9 +138,8 @@ func TestHoistRespectsDependences(t *testing.T) {
 	chip := hw.TrainingChip()
 	prog := &isa.Program{Name: "dependent"}
 	c := isa.Compute(hw.Vector, hw.FP16, 1000)
-	c.Writes = []isa.Region{{Level: hw.UB, Off: 0, Size: 4096}}
-	prog.Append(c)
-	prog.Append(isa.Transfer(hw.PathUBToGM, 0, 0, 4096)) // reads what c wrote
+	prog.AppendWith(c, nil, []isa.Region{{Level: hw.UB, Off: 0, Size: 4096}})
+	prog.AppendTransfer(hw.PathUBToGM, 0, 0, 4096) // reads what c wrote
 	hoisted, err := HoistLoads(chip, prog, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +157,8 @@ func TestHoistFencesAtSync(t *testing.T) {
 	prog.Append(
 		isa.Compute(hw.Vector, hw.FP16, 100),
 		isa.BarrierAllInstr(),
-		isa.Transfer(hw.PathGMToUB, 0, 8192, 4096),
 	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 8192, 4096)
 	hoisted, err := HoistLoads(chip, prog, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +173,8 @@ func TestHoistFencesAtSync(t *testing.T) {
 func TestHoistSameQueueStable(t *testing.T) {
 	chip := hw.TrainingChip()
 	prog := &isa.Program{Name: "same-queue"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 4096),
-		isa.Transfer(hw.PathGMToL1, 1<<20, 0, 4096),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 4096)
+	prog.AppendTransfer(hw.PathGMToL1, 1<<20, 0, 4096)
 	hoisted, err := HoistLoads(chip, prog, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -195,14 +189,13 @@ func TestHoistSameQueueStable(t *testing.T) {
 func TestCheckOrderingCatchesViolation(t *testing.T) {
 	chip := hw.TrainingChip()
 	prog := &isa.Program{Name: "raw"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 4096)
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 4096),
 		isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.WaitFlag(hw.CompMTEGM, hw.CompVector, 0),
 	)
 	c := isa.Compute(hw.Vector, hw.FP16, 100)
-	c.Reads = []isa.Region{{Level: hw.UB, Off: 0, Size: 4096}}
-	prog.Append(c)
+	prog.AppendWith(c, []isa.Region{{Level: hw.UB, Off: 0, Size: 4096}}, nil)
 	p, err := sim.Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)

@@ -306,7 +306,7 @@ func registerBlocking(s *Server, path string, gate chan struct{}, runs *atomic.I
 				// One real simulation per execution, so the coalescing
 				// test's "one underlying simulation" claim is literal.
 				prog := &isa.Program{Name: "coalesce-proof-" + key}
-				prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 4096))
+				prog.AppendTransfer(hw.PathGMToUB, 0, 0, 4096)
 				if _, err := engine.Simulate(hw.TrainingChip(), prog, sim.Options{}); err != nil {
 					return nil, false, err
 				}

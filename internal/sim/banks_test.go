@@ -22,10 +22,8 @@ func TestBankConflictSerializes(t *testing.T) {
 	// 4 banks of 1 KiB: offsets 0 and 4096 are both bank 0.
 	chip := bankedChip(4, 1<<10)
 	prog := &isa.Program{Name: "bank-alias"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1024),        // UB[0:1024) bank 0
-		isa.Transfer(hw.PathUBToGM, 4096, 1<<20, 1024), // UB[4096:5120) bank 0
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1024)        // UB[0:1024) bank 0
+	prog.AppendTransfer(hw.PathUBToGM, 4096, 1<<20, 1024) // UB[4096:5120) bank 0
 	p, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +51,8 @@ func TestBankConflictSerializes(t *testing.T) {
 func TestDifferentBanksParallel(t *testing.T) {
 	chip := bankedChip(4, 1<<10)
 	prog := &isa.Program{Name: "bank-disjoint"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1024),        // bank 0
-		isa.Transfer(hw.PathUBToGM, 1024, 1<<20, 1024), // bank 1
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1024)        // bank 0
+	prog.AppendTransfer(hw.PathUBToGM, 1024, 1<<20, 1024) // bank 1
 	p, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)

@@ -63,10 +63,10 @@ func TestZeroDurationBarrierRetiresAtDispatchTick(t *testing.T) {
 	chip := testChip() // SyncCost = 0: barriers are zero-duration
 	chip.DispatchLatency = 5
 	prog := &isa.Program{Name: "zero-dur-barrier"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 10) // dispatch 5, runs [5, 15)
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 10), // dispatch 5, runs [5, 15)
-		isa.BarrierAllInstr(),                 // dispatch 10, gated on i0 -> [15, 15)
-		isa.Compute(hw.Vector, hw.FP16, 5),    // dispatch 15, gated on barrier -> [15, 20)
+		isa.BarrierAllInstr(),              // dispatch 10, gated on i0 -> [15, 15)
+		isa.Compute(hw.Vector, hw.FP16, 5), // dispatch 15, gated on barrier -> [15, 20)
 	)
 	sp := spansByIndex(t, chip, prog)
 	if s, e := spanOf(t, sp, 0); s != 5 || e != 15 {
@@ -115,13 +115,10 @@ func TestBankClashReEligibleAtRetireTick(t *testing.T) {
 	chip.UBBankWidth = 1 << 10
 	chip.DispatchLatency = 1
 	prog := &isa.Program{Name: "bank-wake"}
-	prog.Append(
-		// Writes UB[0:1024) = bank 0 on MTE-GM: dispatch 1, runs [1, 1025).
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1024),
-		// Reads UB[4096:4608), also bank 0, on MTE-UB: dispatch 2, then
-		// blocked by the clash until the write retires.
-		isa.Transfer(hw.PathUBToGM, 4096, 1<<19, 512),
-	)
+	// Writes UB[0:1024) = bank 0 on MTE-GM: dispatch 1, runs [1, 1025).
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1024) // Reads UB[4096:4608), also bank 0, on MTE-UB: dispatch 2, then
+	// blocked by the clash until the write retires.
+	prog.AppendTransfer(hw.PathUBToGM, 4096, 1<<19, 512)
 	sp := spansByIndex(t, chip, prog)
 	s0, e0 := spanOf(t, sp, 0)
 	if s0 != 1 || e0 != 1025 {

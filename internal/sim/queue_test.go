@@ -20,10 +20,10 @@ func deepChip(depth int) *hw.Chip {
 // queues — head-of-line blocking at dispatch.
 func TestQueueDepthHeadOfLineBlocking(t *testing.T) {
 	prog := &isa.Program{Name: "hol"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1<<18)    // slow: ~9.2 us
+	prog.AppendTransfer(hw.PathGMToL1, 1<<20, 0, 1024) // same queue: fills it
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1<<18),    // slow: ~9.2 us
-		isa.Transfer(hw.PathGMToL1, 1<<20, 0, 1024), // same queue: fills it
-		isa.Compute(hw.Vector, hw.FP16, 256),        // different queue
+		isa.Compute(hw.Vector, hw.FP16, 256), // different queue
 	)
 	unbounded, err := Run(hw.TrainingChip(), prog)
 	if err != nil {
@@ -126,11 +126,9 @@ func TestQueueDepthJSONRoundTrip(t *testing.T) {
 	// round-tripped chip identically.
 	chip := deepChip(3)
 	prog := &isa.Program{Name: "rt"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 4096),
-		isa.Transfer(hw.PathGMToUB, 8192, 8192, 4096),
-		isa.Compute(hw.Vector, hw.FP16, 512),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 4096)
+	prog.AppendTransfer(hw.PathGMToUB, 8192, 8192, 4096)
+	prog.Append(isa.Compute(hw.Vector, hw.FP16, 512))
 	a, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)

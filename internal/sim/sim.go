@@ -104,11 +104,6 @@ func RunOpts(chip *hw.Chip, prog *isa.Program, opts Options) (*profile.Profile, 
 	return p, nil
 }
 
-type flagKey struct {
-	from, to hw.Component
-	event    int
-}
-
 // compMask is a bitmask over the six components; bit c is component c.
 type compMask uint8
 
@@ -149,7 +144,7 @@ type schedState struct {
 	// key id (-1 for non-flag instructions); waitSeq[i] is the ordinal
 	// of wait_flag i within its key (the k-th wait needs k+1 completed
 	// sets).
-	keyID     map[flagKey]int32
+	keyID     map[isa.FlagKey]int32
 	setsDone  []int32
 	setKeyID  []int32
 	waitKeyID []int32
@@ -219,7 +214,7 @@ type schedState struct {
 }
 
 var statePool = sync.Pool{New: func() any {
-	s := &schedState{keyID: make(map[flagKey]int32), stripe: nextStripe()}
+	s := &schedState{keyID: make(map[isa.FlagKey]int32), stripe: nextStripe()}
 	counterCells[s.stripe].poolMisses.Add(1)
 	return s
 }}
@@ -313,13 +308,15 @@ func (s *schedState) init(chip *hw.Chip, prog *isa.Program, opts Options) error 
 	banked := chip.UBBanks > 0
 	for i := range prog.Instrs {
 		in := &prog.Instrs[i]
-		c := hw.Component(-1)
+		c := hw.Component(hw.NumComponents) // not routable
 		switch in.Kind {
 		case isa.KindCompute:
 			c = hw.ComponentOf(in.Unit)
 		case isa.KindTransfer:
-			if in.Path.Src >= 0 && int(in.Path.Src) < hw.NumLevels && in.Path.Dst >= 0 && int(in.Path.Dst) < hw.NumLevels {
-				c = hw.Component(tab.pathEng[in.Path.Src][in.Path.Dst])
+			if in.Path.Src < hw.NumLevels && in.Path.Dst < hw.NumLevels {
+				if e := tab.pathEng[in.Path.Src][in.Path.Dst]; e >= 0 {
+					c = hw.Component(e)
+				}
 			}
 		case isa.KindSetFlag:
 			c = in.From
@@ -332,8 +329,8 @@ func (s *schedState) init(chip *hw.Chip, prog *isa.Program, opts Options) error 
 				c = hw.CompScalar
 			}
 		}
-		if c < 0 || c >= hw.NumComponents {
-			return fmt.Errorf("sim: instruction %d (%s) is not routable", i, in.String())
+		if c >= hw.NumComponents {
+			return fmt.Errorf("sim: instruction %d (%s) is not routable", i, prog.InstrString(i))
 		}
 		s.comp[i] = c
 		queueLen[c]++
@@ -343,7 +340,7 @@ func (s *schedState) init(chip *hw.Chip, prog *isa.Program, opts Options) error 
 		switch in.Kind {
 		case isa.KindCompute:
 			var peak float64
-			if in.Unit >= 0 && int(in.Unit) < numUnits && in.Prec >= 0 && int(in.Prec) < numPrec {
+			if in.Unit < numUnits && in.Prec < numPrec {
 				peak = tab.peak[in.Unit][in.Prec]
 			} else {
 				peak, _ = chip.PeakOf(in.Unit, in.Prec)
@@ -367,13 +364,13 @@ func (s *schedState) init(chip *hw.Chip, prog *isa.Program, opts Options) error 
 		s.iflags[i] = 0
 		var rm, wm uint8
 		var bm uint64
-		for _, r := range in.Reads {
+		for _, r := range prog.Reads(i) {
 			rm |= 1 << uint(r.Level)
 			if banked {
 				bm |= chip.BankRange(r.Level, r.Off, r.Size)
 			}
 		}
-		for _, r := range in.Writes {
+		for _, r := range prog.Writes(i) {
 			wm |= 1 << uint(r.Level)
 			if banked {
 				bm |= chip.BankRange(r.Level, r.Off, r.Size)
@@ -387,9 +384,9 @@ func (s *schedState) init(chip *hw.Chip, prog *isa.Program, opts Options) error 
 				lastBarrier = int32(i)
 			}
 		case isa.KindSetFlag:
-			s.setKeyID[i] = s.keyOf(in.From, in.To, in.EventID)
+			s.setKeyID[i] = s.keyOf(in)
 		case isa.KindWaitFlag:
-			id := s.keyOf(in.From, in.To, in.EventID)
+			id := s.keyOf(in)
 			s.waitKeyID[i] = id
 			// waitSeq is the per-key wait ordinal; reuse setsDone as the
 			// running counter during setup (re-zeroed below).
@@ -431,12 +428,13 @@ const iflagBarrierAll = 1
 // above it (rare) fall back to the keyID map.
 const denseEvents = 256
 
-// keyOf interns a flag key, without hashing for the common small event
-// ids. nextKey tracks the total interned count across both paths.
-func (s *schedState) keyOf(from, to hw.Component, event int) int32 {
-	if event >= 0 && event < denseEvents &&
-		from >= 0 && from < hw.NumComponents && to >= 0 && to < hw.NumComponents {
-		slot := (int(from)*hw.NumComponents+int(to))*denseEvents + event
+// keyOf interns the flag key of a set_flag or wait_flag, without hashing
+// for the common small event ids. nKeys tracks the total interned count
+// across both paths.
+func (s *schedState) keyOf(in *isa.Instr) int32 {
+	from, to, event := in.From, in.To, in.EventID
+	if event >= 0 && event < denseEvents && from < hw.NumComponents && to < hw.NumComponents {
+		slot := (int(from)*hw.NumComponents+int(to))*denseEvents + int(event)
 		if s.denseKey == nil {
 			s.denseKey = make([]int32, hw.NumComponents*hw.NumComponents*denseEvents)
 		}
@@ -448,7 +446,7 @@ func (s *schedState) keyOf(from, to hw.Component, event int) int32 {
 		s.denseUsed = append(s.denseUsed, int32(slot))
 		return id
 	}
-	k := flagKey{from, to, event}
+	k := in.FlagKey()
 	id, ok := s.keyID[k]
 	if !ok {
 		id = s.newKeyID()
@@ -689,29 +687,25 @@ func (s *schedState) conflictsWith(i, j int) bool {
 	if (s.writeMask[i]&(s.readMask[j]|s.writeMask[j]) | s.writeMask[j]&s.readMask[i]) == 0 {
 		return false
 	}
-	return conflicts(&s.prog.Instrs[i], &s.prog.Instrs[j])
+	return conflicts(s.prog, i, j)
 }
 
-// bankClash reports whether two instructions touch a common UB bank.
-// (Kept for VerifySchedule, which re-derives constraints from scratch.)
-func bankClash(chip *hw.Chip, a, b *isa.Instr) bool {
-	var ma, mb uint64
-	for _, r := range a.Reads {
-		ma |= chip.BankRange(r.Level, r.Off, r.Size)
+// bankClash reports whether instructions i and j of prog touch a common
+// UB bank. (Kept for VerifySchedule, which re-derives constraints from
+// scratch.)
+func bankClash(chip *hw.Chip, prog *isa.Program, i, j int) bool {
+	banks := func(k int) uint64 {
+		var m uint64
+		for _, r := range prog.Reads(k) {
+			m |= chip.BankRange(r.Level, r.Off, r.Size)
+		}
+		for _, r := range prog.Writes(k) {
+			m |= chip.BankRange(r.Level, r.Off, r.Size)
+		}
+		return m
 	}
-	for _, r := range a.Writes {
-		ma |= chip.BankRange(r.Level, r.Off, r.Size)
-	}
-	if ma == 0 {
-		return false
-	}
-	for _, r := range b.Reads {
-		mb |= chip.BankRange(r.Level, r.Off, r.Size)
-	}
-	for _, r := range b.Writes {
-		mb |= chip.BankRange(r.Level, r.Off, r.Size)
-	}
-	return ma&mb != 0
+	ma := banks(i)
+	return ma != 0 && ma&banks(j) != 0
 }
 
 // start begins execution of instruction i on component c at tick t.
@@ -759,23 +753,23 @@ func (s *schedState) complete(i int, c hw.Component) {
 	}
 }
 
-// conflicts reports whether two instructions have a memory conflict:
-// overlapping regions with at least one writer.
-func conflicts(a, b *isa.Instr) bool {
-	for _, wa := range a.Writes {
-		for _, wb := range b.Writes {
+// conflicts reports whether instructions i and j of prog have a memory
+// conflict: overlapping regions with at least one writer.
+func conflicts(prog *isa.Program, i, j int) bool {
+	for _, wa := range prog.Writes(i) {
+		for _, wb := range prog.Writes(j) {
 			if wa.Overlaps(wb) {
 				return true
 			}
 		}
-		for _, rb := range b.Reads {
+		for _, rb := range prog.Reads(j) {
 			if wa.Overlaps(rb) {
 				return true
 			}
 		}
 	}
-	for _, ra := range a.Reads {
-		for _, wb := range b.Writes {
+	for _, ra := range prog.Reads(i) {
+		for _, wb := range prog.Writes(j) {
 			if ra.Overlaps(wb) {
 				return true
 			}
@@ -790,7 +784,7 @@ func (s *schedState) deadlockError() error {
 	for c := 0; c < hw.NumComponents; c++ {
 		if s.qpos[c] < len(s.queues[c]) {
 			i := int(s.queues[c][s.qpos[c]])
-			msg += fmt.Sprintf(" [%s: #%d %s]", hw.Component(c), i, s.prog.Instrs[i].String())
+			msg += fmt.Sprintf(" [%s: #%d %s]", hw.Component(c), i, s.prog.InstrString(i))
 		}
 	}
 	return fmt.Errorf("%s", msg)

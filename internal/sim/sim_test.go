@@ -62,7 +62,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 func TestSingleTransfer(t *testing.T) {
 	chip := testChip()
 	prog := &isa.Program{Name: "one-copy"}
-	prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 1000))
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
 	r := mustRun(t, chip, prog)
 	if !approx(r.total, 1000) {
 		t.Errorf("total = %v, want 1000", r.total)
@@ -73,10 +73,8 @@ func TestSameMTESerializes(t *testing.T) {
 	chip := testChip()
 	prog := &isa.Program{Name: "same-mte"}
 	// Both on MTE-GM: must serialize even though paths differ.
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),
-		isa.Transfer(hw.PathGMToL1, 4096, 0, 1000),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
+	prog.AppendTransfer(hw.PathGMToL1, 4096, 0, 1000)
 	r := mustRun(t, chip, prog)
 	if !approx(r.total, 2000) {
 		t.Errorf("total = %v, want 2000 (serialized within MTE-GM)", r.total)
@@ -87,10 +85,8 @@ func TestDifferentMTEsParallel(t *testing.T) {
 	chip := testChip()
 	prog := &isa.Program{Name: "cross-mte"}
 	// Disjoint regions on different engines: fully parallel.
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),       // writes UB[0:1000)
-		isa.Transfer(hw.PathUBToGM, 2000, 8192, 1000), // reads UB[2000:3000)
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)       // writes UB[0:1000)
+	prog.AppendTransfer(hw.PathUBToGM, 2000, 8192, 1000) // reads UB[2000:3000)
 	r := mustRun(t, chip, prog)
 	if !approx(r.total, 1000) {
 		t.Errorf("total = %v, want 1000 (parallel across MTEs)", r.total)
@@ -101,10 +97,8 @@ func TestSpatialDependencySerializes(t *testing.T) {
 	chip := testChip()
 	// MTE-GM writes UB[0:1000) while MTE-UB reads UB[500:1500): conflict.
 	prog := &isa.Program{Name: "hazard"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),
-		isa.Transfer(hw.PathUBToGM, 500, 8192, 1000),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
+	prog.AppendTransfer(hw.PathUBToGM, 500, 8192, 1000)
 	r := mustRun(t, chip, prog)
 	if !approx(r.total, 2000) {
 		t.Errorf("total = %v, want 2000 (hazard serialization)", r.total)
@@ -126,11 +120,8 @@ func TestReadsDoNotConflict(t *testing.T) {
 	// region run on different components and do not conflict.
 	prog := &isa.Program{Name: "rr"}
 	vec := isa.Compute(hw.Vector, hw.FP16, 1000)
-	vec.Reads = []isa.Region{{Level: hw.UB, Off: 0, Size: 1000}}
-	prog.Append(
-		vec,
-		isa.Transfer(hw.PathUBToGM, 0, 0, 1000),
-	)
+	prog.AppendWith(vec, []isa.Region{{Level: hw.UB, Off: 0, Size: 1000}}, nil)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 0, 1000)
 	r := mustRun(t, chip, prog)
 	if !approx(r.total, 1000) {
 		t.Errorf("total = %v, want 1000 (read-read parallel)", r.total)
@@ -139,11 +130,8 @@ func TestReadsDoNotConflict(t *testing.T) {
 	// The same pair with the compute *writing* the region serializes.
 	prog2 := &isa.Program{Name: "wr"}
 	vecW := isa.Compute(hw.Vector, hw.FP16, 1000)
-	vecW.Writes = []isa.Region{{Level: hw.UB, Off: 0, Size: 1000}}
-	prog2.Append(
-		vecW,
-		isa.Transfer(hw.PathUBToGM, 0, 0, 1000),
-	)
+	prog2.AppendWith(vecW, nil, []isa.Region{{Level: hw.UB, Off: 0, Size: 1000}})
+	prog2.AppendTransfer(hw.PathUBToGM, 0, 0, 1000)
 	r2 := mustRun(t, chip, prog2)
 	if !approx(r2.total, 2000) {
 		t.Errorf("total = %v, want 2000 (write-read conflict)", r2.total)
@@ -153,8 +141,8 @@ func TestReadsDoNotConflict(t *testing.T) {
 func TestWaitFlagOrdersAcrossQueues(t *testing.T) {
 	chip := testChip()
 	prog := &isa.Program{Name: "flags"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),
 		isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.WaitFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.Compute(hw.Vector, hw.FP16, 500),
@@ -171,10 +159,10 @@ func TestFlagSemaphoreOrdering(t *testing.T) {
 	prog := &isa.Program{Name: "two-flags"}
 	// Two producer/consumer rounds on the same event id; the second wait
 	// must match the second set.
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 100) // [0,100)
+	prog.Append(isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0))
+	prog.AppendTransfer(hw.PathGMToUB, 4096, 4096, 100) // [100,200) on MTE-GM
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 100), // [0,100)
-		isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0),
-		isa.Transfer(hw.PathGMToUB, 4096, 4096, 100), // [100,200) on MTE-GM
 		isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.WaitFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.Compute(hw.Vector, hw.FP16, 50),
@@ -193,12 +181,10 @@ func TestFlagSemaphoreOrdering(t *testing.T) {
 func TestBarrierAllFences(t *testing.T) {
 	chip := testChip()
 	prog := &isa.Program{Name: "barrier"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),
-		isa.Transfer(hw.PathUBToGM, 2000, 8192, 400), // parallel, ends at 400
-		isa.BarrierAllInstr(),
-		isa.Transfer(hw.PathUBToL1, 4000, 0, 100),
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
+	prog.AppendTransfer(hw.PathUBToGM, 2000, 8192, 400) // parallel, ends at 400
+	prog.Append(isa.BarrierAllInstr())
+	prog.AppendTransfer(hw.PathUBToL1, 4000, 0, 100)
 	r := mustRun(t, chip, prog)
 	// Barrier waits for 1000; final transfer runs [1000,1100).
 	if !approx(r.total, 1100) {
@@ -209,16 +195,12 @@ func TestBarrierAllFences(t *testing.T) {
 func TestBarrierRemovalNeverSlower(t *testing.T) {
 	chip := testChip()
 	with := &isa.Program{Name: "with-barrier"}
-	with.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),
-		isa.BarrierAllInstr(),
-		isa.Transfer(hw.PathUBToGM, 2000, 8192, 1000),
-	)
+	with.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
+	with.Append(isa.BarrierAllInstr())
+	with.AppendTransfer(hw.PathUBToGM, 2000, 8192, 1000)
 	without := &isa.Program{Name: "no-barrier"}
-	without.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 1000),
-		isa.Transfer(hw.PathUBToGM, 2000, 8192, 1000),
-	)
+	without.AppendTransfer(hw.PathGMToUB, 0, 0, 1000)
+	without.AppendTransfer(hw.PathUBToGM, 2000, 8192, 1000)
 	a := mustRun(t, chip, with)
 	b := mustRun(t, chip, without)
 	if b.total > a.total {
@@ -237,7 +219,7 @@ func TestDispatchLatencyDelaysLateInstructions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		prog.Append(isa.Compute(hw.Scalar, hw.INT32, 1))
 	}
-	prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 100))
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 100)
 	p, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -265,17 +247,15 @@ func TestInstructionOrderMatters(t *testing.T) {
 	chip.DispatchLatency = 50
 
 	late := &isa.Program{Name: "late-load"}
-	late.Append(isa.Transfer(hw.PathGMToL1, 0, 0, 400))
+	late.AppendTransfer(hw.PathGMToL1, 0, 0, 400)
 	for i := 0; i < 10; i++ {
 		late.Append(isa.Compute(hw.Scalar, hw.INT32, 1))
 	}
-	late.Append(isa.Transfer(hw.PathGMToL1, 4096, 4096, 400)) // issued late
+	late.AppendTransfer(hw.PathGMToL1, 4096, 4096, 400) // issued late
 
 	early := &isa.Program{Name: "early-load"}
-	early.Append(
-		isa.Transfer(hw.PathGMToL1, 0, 0, 400),
-		isa.Transfer(hw.PathGMToL1, 4096, 4096, 400), // issued early
-	)
+	early.AppendTransfer(hw.PathGMToL1, 0, 0, 400)
+	early.AppendTransfer(hw.PathGMToL1, 4096, 4096, 400) // issued early
 	for i := 0; i < 10; i++ {
 		early.Append(isa.Compute(hw.Scalar, hw.INT32, 1))
 	}
@@ -301,10 +281,10 @@ func TestTransferSetupGranularity(t *testing.T) {
 	chip.TransferSetup = 100
 	small := &isa.Program{Name: "small"}
 	for i := int64(0); i < 8; i++ {
-		small.Append(isa.Transfer(hw.PathUBToGM, i*100, i*100, 100))
+		small.AppendTransfer(hw.PathUBToGM, i*100, i*100, 100)
 	}
 	merged := &isa.Program{Name: "merged"}
-	merged.Append(isa.Transfer(hw.PathUBToGM, 0, 0, 800))
+	merged.AppendTransfer(hw.PathUBToGM, 0, 0, 800)
 	a := mustRun(t, chip, small)
 	b := mustRun(t, chip, merged)
 	if !approx(a.total, 8*(100+100)) {
@@ -359,9 +339,9 @@ func TestDeadlockDetection(t *testing.T) {
 func TestProfileAggregates(t *testing.T) {
 	chip := testChip()
 	prog := &isa.Program{Name: "agg"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 300)
+	prog.AppendTransfer(hw.PathGMToUB, 4096, 4096, 200)
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 300),
-		isa.Transfer(hw.PathGMToUB, 4096, 4096, 200),
 		isa.Compute(hw.Vector, hw.FP16, 100),
 		isa.Compute(hw.Vector, hw.FP32, 50),
 	)
@@ -423,7 +403,7 @@ func randomProgram(rng *rand.Rand, n int) *isa.Program {
 			path := paths[rng.Intn(len(paths))]
 			size := int64(rng.Intn(4000) + 1)
 			off := int64(rng.Intn(8192))
-			prog.Append(isa.Transfer(path, off, off, size))
+			prog.AppendTransfer(path, off, off, size)
 		case 2, 3:
 			ups := []hw.UnitPrec{
 				{Unit: hw.Cube, Prec: hw.FP16}, {Unit: hw.Cube, Prec: hw.INT8},

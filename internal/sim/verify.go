@@ -119,15 +119,11 @@ func VerifySchedule(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error 
 
 	// Rule 5: flags. Match the k-th wait to the k-th set per key, both
 	// in program order (each queue is FIFO and waits live on one queue).
-	type key struct {
-		from, to hw.Component
-		event    int
-	}
-	sets := map[key][]int{}
-	waits := map[key][]int{}
+	sets := map[isa.FlagKey][]int{}
+	waits := map[isa.FlagKey][]int{}
 	for i := 0; i < n; i++ {
 		in := &prog.Instrs[i]
-		k := key{in.From, in.To, in.EventID}
+		k := in.FlagKey()
 		switch in.Kind {
 		case isa.KindSetFlag:
 			sets[k] = append(sets[k], i)
@@ -164,8 +160,8 @@ func VerifySchedule(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error 
 			if ci == cj {
 				continue
 			}
-			if !conflicts(&prog.Instrs[i], &prog.Instrs[j]) &&
-				!(chip.UBBanks > 0 && bankClash(chip, &prog.Instrs[i], &prog.Instrs[j])) {
+			if !conflicts(prog, i, j) &&
+				!(chip.UBBanks > 0 && bankClash(chip, prog, i, j)) {
 				continue
 			}
 			if starts[i] > starts[j]+1e-9 && starts[i]+1e-9 < ends[j] {
@@ -211,7 +207,7 @@ func VerifySchedule(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error 
 		}
 		if in.Kind == isa.KindWaitFlag {
 			// Any set's end is an admissible explanation.
-			k := key{in.From, in.To, in.EventID}
+			k := in.FlagKey()
 			for _, s := range sets[k] {
 				bounds = append(bounds, ends[s])
 			}
@@ -223,8 +219,8 @@ func VerifySchedule(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error 
 			}
 			ci, _ := prog.Instrs[i].Component(chip)
 			cj, _ := prog.Instrs[j].Component(chip)
-			if ci != cj && (conflicts(&prog.Instrs[i], &prog.Instrs[j]) ||
-				(chip.UBBanks > 0 && bankClash(chip, &prog.Instrs[i], &prog.Instrs[j]))) {
+			if ci != cj && (conflicts(prog, i, j) ||
+				(chip.UBBanks > 0 && bankClash(chip, prog, i, j))) {
 				bounds = append(bounds, ends[j])
 			}
 		}

@@ -42,17 +42,19 @@ func TestVerifyKernelSchedules(t *testing.T) {
 	// Kernel programs are validated in the kernels package tests via the
 	// exported verifier; here check a representative staged pipeline.
 	prog := &isa.Program{Name: "staged"}
+	prog.AppendTransfer(hw.PathGMToL1, 0, 0, 65536)
 	prog.Append(
-		isa.Transfer(hw.PathGMToL1, 0, 0, 65536),
 		isa.SetFlag(hw.CompMTEGM, hw.CompMTEL1, 0),
 		isa.WaitFlag(hw.CompMTEGM, hw.CompMTEL1, 0),
-		isa.Transfer(hw.PathL1ToL0A, 0, 0, 32768),
+	)
+	prog.AppendTransfer(hw.PathL1ToL0A, 0, 0, 32768)
+	prog.Append(
 		isa.SetFlag(hw.CompMTEL1, hw.CompCube, 0),
 		isa.WaitFlag(hw.CompMTEL1, hw.CompCube, 0),
 		isa.Compute(hw.Cube, hw.FP16, 1<<20),
 		isa.BarrierAllInstr(),
-		isa.Transfer(hw.PathUBToGM, 0, 1<<20, 4096),
 	)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 1<<20, 4096)
 	p, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +82,14 @@ func corrupt(p *profile.Profile, f func(spans []profile.Span)) *profile.Profile 
 func TestVerifyDetectsCorruption(t *testing.T) {
 	chip := hw.TrainingChip()
 	prog := &isa.Program{Name: "victim"}
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 8192)
 	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 8192),
 		isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.WaitFlag(hw.CompMTEGM, hw.CompVector, 0),
 		isa.Compute(hw.Vector, hw.FP16, 4096),
 		isa.BarrierAllInstr(),
-		isa.Transfer(hw.PathUBToGM, 0, 65536, 8192),
 	)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 65536, 8192)
 	p, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +177,8 @@ func TestVerifyDetectsMissingInstruction(t *testing.T) {
 func TestVerifyDetectsHazardViolation(t *testing.T) {
 	chip := hw.TrainingChip()
 	prog := &isa.Program{Name: "hazard"}
-	prog.Append(
-		isa.Transfer(hw.PathGMToUB, 0, 0, 32768),     // writes UB[0:32768)
-		isa.Transfer(hw.PathUBToGM, 0, 65536, 32768), // reads the same region
-	)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 32768)     // writes UB[0:32768)
+	prog.AppendTransfer(hw.PathUBToGM, 0, 65536, 32768) // reads the same region
 	p, err := Run(chip, prog)
 	if err != nil {
 		t.Fatal(err)

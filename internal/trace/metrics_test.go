@@ -169,7 +169,7 @@ func TestMetricsExactSum10k(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		switch i % 5 {
 		case 0:
-			prog.Append(isa.Transfer(hw.PathGMToUB, 0, int64(i%7)*4096, int64(rng.Intn(4096)+1)))
+			prog.AppendTransfer(hw.PathGMToUB, 0, int64(i%7)*4096, int64(rng.Intn(4096)+1))
 		case 1:
 			prog.Append(isa.Compute(hw.Vector, hw.FP16, int64(rng.Intn(3000)+1)))
 		case 2:
@@ -213,7 +213,7 @@ func TestMetricsGapCountZeroStart(t *testing.T) {
 	chip.SyncCost = 0
 	prog := &isa.Program{Name: "gap-count-edge"}
 	prog.Append(isa.SetFlag(hw.CompVector, hw.CompMTEUB, 0))  // Vector [0,0)
-	prog.Append(isa.Transfer(hw.PathGMToUB, 0, 0, 1<<16))     // MTE-GM [0,T)
+	prog.AppendTransfer(hw.PathGMToUB, 0, 0, 1<<16)           // MTE-GM [0,T)
 	prog.Append(isa.SetFlag(hw.CompMTEGM, hw.CompVector, 0))  // MTE-GM [T,T)
 	prog.Append(isa.WaitFlag(hw.CompMTEGM, hw.CompVector, 0)) // Vector [T,T): gap (0,T)
 	prog.Append(isa.WaitFlag(hw.CompVector, hw.CompMTEUB, 0)) // MTE-UB

@@ -138,7 +138,7 @@ func New(chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) (*D
 		in := &prog.Instrs[s.Index]
 		name := s.Label
 		if name == "" {
-			name = in.String()
+			name = prog.InstrString(s.Index)
 		}
 		dur := us(s.Duration())
 		ev := Event{
@@ -155,7 +155,7 @@ func New(chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) (*D
 			ev.Args["prec"] = in.Prec.String()
 			ev.Args["ops"] = in.Ops
 		case isa.KindSetFlag, isa.KindWaitFlag:
-			ev.Args["event"] = in.EventID
+			ev.Args["event"] = int(in.EventID)
 		}
 		if critical[s.Index] {
 			ev.Args["on_critical_path"] = true
@@ -169,28 +169,25 @@ func New(chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) (*D
 	// semantics). The flow start sits at the midpoint of the set span
 	// and the finish at the midpoint of the wait span, so Perfetto binds
 	// both ends to their enclosing slices.
-	type key struct {
-		from, to hw.Component
-		event    int
-	}
-	sets := map[key][]int{}
+	sets := map[isa.FlagKey][]int{}
 	for i := range prog.Instrs {
 		in := &prog.Instrs[i]
 		if in.Kind == isa.KindSetFlag {
-			sets[key{in.From, in.To, in.EventID}] = append(sets[key{in.From, in.To, in.EventID}], i)
+			k := in.FlagKey()
+			sets[k] = append(sets[k], i)
 		}
 	}
 	for k := range sets {
 		ss := sets[k]
 		sort.SliceStable(ss, func(a, b int) bool { return ends[ss[a]] < ends[ss[b]] })
 	}
-	waitCount := map[key]int{}
+	waitCount := map[isa.FlagKey]int{}
 	for i := range prog.Instrs {
 		in := &prog.Instrs[i]
 		if in.Kind != isa.KindWaitFlag {
 			continue
 		}
-		k := key{in.From, in.To, in.EventID}
+		k := in.FlagKey()
 		seq := waitCount[k]
 		waitCount[k]++
 		if seq >= len(sets[k]) {

@@ -76,8 +76,12 @@ echo "== memory-retention gate (programs die with their owner, shared presets st
 # model runner's builds must be collectable once their owner drops
 # them, distinct inline-program requests must not grow the live heap,
 # and serving every endpoint must leave the shared chip presets
-# unchanged.
+# unchanged. An instruction stays 64 bytes with Label its only pointer
+# (its regions live in the program's pointer-free arena), and no kernel
+# build allocates more than once per ten instructions.
 go test -count=1 -run 'TestRunOptsDoesNotRetainProgram|TestRunnerDoesNotRetainBuilds|TestInlineSimulateHeapBounded|TestChipPresetsStayImmutable' ./internal/serve
+go test -count=1 -run 'TestInstrLayout' ./internal/isa
+go test -count=1 -run 'TestKernelBuildAllocs' ./internal/kernels
 
 echo "== simulation-reuse gate (one simulation per concurrent miss, exact callers stay exact, flights outlive their leader) =="
 # Named explicitly, like the gates above, and repeated under the race
