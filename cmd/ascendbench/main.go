@@ -173,6 +173,11 @@ func main() {
 //
 // Schema v8: drops the two disk counters with the disk simulation
 // cache they counted.
+//
+// Schema v9: drops sched_pool_hits and sched_pool_misses. They count
+// sync.Pool reuse of scheduler states, which moves with GC timing, so a
+// diff of two records reported noise as a change; /v1/stats and
+// /metrics still carry them.
 type engineBench struct {
 	cliutil.BenchHeader
 	Workloads       int     `json:"workloads"`
@@ -222,8 +227,6 @@ type engineBench struct {
 	SchedEligChecks    uint64 `json:"sched_elig_checks"`
 	SchedWakes         uint64 `json:"sched_wakes"`
 	SchedRescanAvoided uint64 `json:"sched_rescan_checks_avoided"`
-	SchedPoolHits      uint64 `json:"sched_pool_hits"`
-	SchedPoolMisses    uint64 `json:"sched_pool_misses"`
 }
 
 // sweepPoint is one worker count's measurement in the sweep.
@@ -272,7 +275,7 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	}
 
 	rec := engineBench{
-		BenchHeader: cliutil.NewBenchHeader("ascendperf/bench-engine/v8", chip.Name, 0),
+		BenchHeader: cliutil.NewBenchHeader("ascendperf/bench-engine/v9", chip.Name, 0),
 		Workloads:   len(models),
 	}
 	for _, m := range models {
@@ -395,8 +398,6 @@ func benchEngine(path string, minScaling float64, surrPath string) error {
 	rec.SchedEligChecks = sched.EligChecks - sched0.EligChecks
 	rec.SchedWakes = sched.Wakes - sched0.Wakes
 	rec.SchedRescanAvoided = sched.RescanChecksAvoided - sched0.RescanChecksAvoided
-	rec.SchedPoolHits = sched.PoolHits - sched0.PoolHits
-	rec.SchedPoolMisses = sched.PoolMisses - sched0.PoolMisses
 
 	if surrPath != "" {
 		if err := benchSurrogate(&rec, chip, surrPath); err != nil {

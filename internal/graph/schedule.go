@@ -112,14 +112,20 @@ func (s *Schedule) Utilization(c int) float64 {
 
 // durations measures every inventory row's per-instance duration at
 // every contention level 1..cores: occupancy o simulates the baseline
-// build against multicore.PerCoreChip(chip, o), whose GM-attached
+// program against multicore.PerCoreChip(chip, o), whose GM-attached
 // links carry 1/o of the chip's bandwidth — concurrent operators
 // degrade each other exactly the way internal/multicore models it.
 // Occupancy 1 uses the chip itself, so single-core graph times are the
-// very simulations model.Run caches, and its builds are the ones derive
-// measured tensor bytes on. The (op × occupancy) matrix fans
-// out over the engine pool; ParallelMap keeps results in index order,
-// so worker count never changes a single bit downstream.
+// very simulations model.Run caches. Each operator is built once, on
+// chip, and that program is simulated at every occupancy: a per-core
+// chip differs from chip only in its GM-link bandwidths and name,
+// which no kernel build and no program validation reads, so the build
+// on a per-core chip would be the same program (TestPerCoreBuildsMatch
+// checks every registry kernel and workload operator). Those builds
+// are also the ones derive measured tensor bytes on. The (op ×
+// occupancy) matrix fans out over the engine pool; ParallelMap keeps
+// results in index order, so worker count never changes a single bit
+// downstream.
 func durations(chip *hw.Chip, m *model.Model, cores, workers int, builds *kernels.BuildMemo) ([][]int64, error) {
 	chips := make([]*hw.Chip, cores+1)
 	chips[1] = chip
@@ -130,7 +136,7 @@ func durations(chip *hw.Chip, m *model.Model, cores, workers int, builds *kernel
 	flat, err := engine.ParallelMap(workers, n*cores, func(i int) (int64, error) {
 		k, o := i/cores, i%cores+1
 		inst := m.Ops[k]
-		prog, err := builds.Build(chips[o], inst.Kernel, inst.Kernel.Baseline())
+		prog, err := builds.Build(chip, inst.Kernel, inst.Kernel.Baseline())
 		if err != nil {
 			return 0, fmt.Errorf("graph: %s: %s: %w", m.Name, inst.Kernel.Name(), err)
 		}

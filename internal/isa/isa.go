@@ -27,7 +27,7 @@ package isa
 import (
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 	"sync/atomic"
 
 	"ascendperf/internal/hw"
@@ -82,8 +82,12 @@ func (r Region) Overlaps(o Region) bool {
 func (r Region) End() int64 { return r.Off + r.Size }
 
 // String formats the region as "Level[off:end)".
-func (r Region) String() string {
-	return fmt.Sprintf("%s[%d:%d)", r.Level, r.Off, r.End())
+func (r Region) String() string { return string(r.appendString(nil)) }
+
+func (r Region) appendString(dst []byte) []byte {
+	dst = append(append(dst, r.Level.String()...), '[')
+	dst = append(strconv.AppendInt(dst, r.Off, 10), ':')
+	return append(strconv.AppendInt(dst, r.End(), 10), ')')
 }
 
 // BarrierScope selects which queues a barrier synchronizes.
@@ -189,59 +193,64 @@ func (in *Instr) Component(chip *hw.Chip) (hw.Component, bool) {
 // InstrString disassembles instruction i. The format is parseable by
 // Parse: memory regions are rendered as Level[off:end) lists so the round
 // trip is lossless.
-func (p *Program) InstrString(i int) string {
-	var b strings.Builder
+func (p *Program) InstrString(i int) string { return string(p.AppendInstrString(nil, i)) }
+
+// AppendInstrString appends InstrString(i) to dst.
+func (p *Program) AppendInstrString(dst []byte, i int) []byte {
 	in := &p.Instrs[i]
 	switch in.Kind {
 	case KindCompute:
-		fmt.Fprintf(&b, "%s.%s ops=%d repeat=%d", in.Unit, in.Prec, in.Ops, in.EffRepeat())
+		dst = append(append(append(dst, in.Unit.String()...), '.'), in.Prec.String()...)
+		dst = strconv.AppendInt(append(dst, " ops="...), in.Ops, 10)
+		dst = strconv.AppendInt(append(dst, " repeat="...), int64(in.EffRepeat()), 10)
 		// The parser accepts every numeric field on both kinds; write
 		// back any that changes the instruction, so a disassembly
 		// re-parses to the same program.
 		if in.Bytes != 0 {
-			fmt.Fprintf(&b, " bytes=%d", in.Bytes)
+			dst = strconv.AppendInt(append(dst, " bytes="...), in.Bytes, 10)
 		}
 	case KindTransfer:
-		fmt.Fprintf(&b, "copy %s bytes=%d", in.Path, in.Bytes)
+		dst = append(append(dst, "copy "...), in.Path.Src.String()...)
+		dst = append(append(dst, "->"...), in.Path.Dst.String()...)
+		dst = strconv.AppendInt(append(dst, " bytes="...), in.Bytes, 10)
 		if in.Ops != 0 {
-			fmt.Fprintf(&b, " ops=%d", in.Ops)
+			dst = strconv.AppendInt(append(dst, " ops="...), in.Ops, 10)
 		}
 		if in.Repeat > 1 {
-			fmt.Fprintf(&b, " repeat=%d", in.Repeat)
+			dst = strconv.AppendInt(append(dst, " repeat="...), int64(in.Repeat), 10)
 		}
-	case KindSetFlag:
-		fmt.Fprintf(&b, "set_flag %s->%s ev=%d", in.From, in.To, in.EventID)
-	case KindWaitFlag:
-		fmt.Fprintf(&b, "wait_flag %s->%s ev=%d", in.From, in.To, in.EventID)
+	case KindSetFlag, KindWaitFlag:
+		dst = append(append(dst, in.Kind.String()...), ' ')
+		dst = append(append(append(dst, in.From.String()...), "->"...), in.To.String()...)
+		dst = strconv.AppendInt(append(dst, " ev="...), int64(in.EventID), 10)
 	case KindBarrier:
 		if in.Scope == BarrierAll {
-			b.WriteString("pipe_barrier(PIPE_ALL)")
+			dst = append(dst, "pipe_barrier(PIPE_ALL)"...)
 		} else {
-			fmt.Fprintf(&b, "pipe_barrier(%s)", in.Pipe)
+			dst = append(append(append(dst, "pipe_barrier("...), in.Pipe.String()...), ')')
 		}
 	}
 	if rs := p.Reads(i); len(rs) > 0 {
-		b.WriteString(" reads=")
-		writeRegions(&b, rs)
+		dst = appendRegionList(append(dst, " reads="...), rs)
 	}
 	if ws := p.Writes(i); len(ws) > 0 {
-		b.WriteString(" writes=")
-		writeRegions(&b, ws)
+		dst = appendRegionList(append(dst, " writes="...), ws)
 	}
 	if in.Label != "" {
-		fmt.Fprintf(&b, " ; %s", in.Label)
+		dst = append(append(dst, " ; "...), in.Label...)
 	}
-	return b.String()
+	return dst
 }
 
-// writeRegions renders a comma-separated region list.
-func writeRegions(b *strings.Builder, rs []Region) {
+// appendRegionList appends a comma-separated region list.
+func appendRegionList(dst []byte, rs []Region) []byte {
 	for i, r := range rs {
 		if i > 0 {
-			b.WriteString(",")
+			dst = append(dst, ',')
 		}
-		b.WriteString(r.String())
+		dst = r.appendString(dst)
 	}
+	return dst
 }
 
 // Compute constructs a compute instruction. ops is the total number of
@@ -393,12 +402,12 @@ func (p *Program) Len() int { return len(p.Instrs) }
 
 // Disassemble renders the program as text, one instruction per line.
 func (p *Program) Disassemble() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "; program %s (%d instructions)\n", p.Name, len(p.Instrs))
+	b := fmt.Appendf(nil, "; program %s (%d instructions)\n", p.Name, len(p.Instrs))
 	for i := range p.Instrs {
-		fmt.Fprintf(&b, "%5d  %s\n", i, p.InstrString(i))
+		b = fmt.Appendf(b, "%5d  ", i)
+		b = append(p.AppendInstrString(b, i), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Validate checks that every instruction is legal on the chip: transfer

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
+	"math"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"ascendperf/internal/hw"
@@ -43,11 +44,12 @@ func Parse(name string, r io.Reader) (*Program, error) {
 }
 
 // ParseString is Parse on a program already in memory. It walks the
-// text once, and a valid program costs four allocations whatever its
-// length: the Program, its instruction slice, its region arena, and one
-// string holding every label (so the program does not keep text alive).
-// Only a line with a non-ASCII byte, more than 16 fields or more than 8
-// regions given out of order allocates on its own.
+// text once: each line is one forward scan that dispatches on the head
+// field and reads the other fields where they stand. A valid program
+// costs four allocations whatever its length: the Program, its
+// instruction slice, its region arena, and one string holding every
+// label (so the program does not keep text alive). Only a line that
+// gives more than 8 regions out of order allocates on its own.
 func ParseString(name, text string) (*Program, error) {
 	prog := &Program{Name: name}
 	// A valid instruction line takes at least 16 bytes with its newline
@@ -55,31 +57,36 @@ func ParseString(name, text string) (*Program, error) {
 	size := min(strings.Count(text, "\n"), len(text)/16) + 1
 	// Every explicit region has a '[' and a copy adds at most two default
 	// regions, so a valid program's regions fit the arena.
-	p := parser{regions: make([]Region, 0, strings.Count(text, "[")+2*strings.Count(text, "copy"))}
+	p := parser{s: text, regions: make([]Region, 0, strings.Count(text, "[")+2*strings.Count(text, "copy"))}
 	labelBytes := 0
-	for lineNo := 1; text != ""; lineNo++ {
-		line := text
-		if i := strings.IndexByte(text, '\n'); i >= 0 {
-			line, text = text[:i], text[i+1:]
-		} else {
-			text = ""
+	for lineNo := 1; p.pos < len(text); lineNo++ {
+		start := p.pos
+		i := skipSpace(text, start)
+		var err error
+		switch {
+		case i == len(text) || text[i] == '\n':
+			p.pos = i
+		case text[i] == ';':
+			p.pos = lineEnd(text, i)
+		default:
+			if prog.Instrs == nil {
+				prog.Instrs = make([]Instr, 0, size)
+			}
+			prog.Instrs = append(prog.Instrs, Instr{})
+			in := &prog.Instrs[len(prog.Instrs)-1]
+			p.pos = i
+			if err = p.parseLine(in); err != nil {
+				p.pos = lineEnd(text, p.pos)
+			}
+			labelBytes += len(in.Label)
 		}
-		if len(line) > maxLine {
+		if p.pos-start > maxLine {
 			return nil, fmt.Errorf("isa: %s: %w", name, bufio.ErrTooLong)
 		}
-		line = strings.TrimSpace(line)
-		if line == "" || line[0] == ';' {
-			continue
-		}
-		if prog.Instrs == nil {
-			prog.Instrs = make([]Instr, 0, size)
-		}
-		prog.Instrs = append(prog.Instrs, Instr{})
-		in := &prog.Instrs[len(prog.Instrs)-1]
-		if err := p.parseLine(line, in); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("isa: %s:%d: %w", name, lineNo, err)
 		}
-		labelBytes += len(in.Label)
+		p.pos++ // past the newline
 	}
 	prog.regions = p.regions
 	copyLabels(prog.Instrs, labelBytes)
@@ -104,25 +111,148 @@ func copyLabels(ins []Instr, total int) {
 	}
 }
 
-// parser holds the region arena of one program and, for the line being
-// parsed, the arena ranges [rlo, rhi) and [wlo, whi) of its read and
-// write lists. A line's lists are appended to the arena in the order
-// they appear; place moves them to the arena layout, reads then writes.
+// parser holds the text being parsed, the offset the scan has reached
+// in it, the region arena of the program and, for the line being
+// parsed, its label once the scan reaches it and the arena ranges
+// [rlo, rhi) and [wlo, whi) of its read and write lists. A line's lists
+// are appended to the arena in the order they appear; place moves them
+// to the arena layout, reads then writes.
 type parser struct {
+	s                  string
+	pos                int
 	regions            []Region
+	label              string
 	rlo, rhi, wlo, whi int
 }
 
-// parseLine parses one instruction line (trimmed, not a comment) into
-// the zero instruction in.
-func (p *parser) parseLine(line string, in *Instr) error {
+// parseLine parses the instruction line the scan stands at (on its
+// first field) into the zero instruction in, and leaves the scan at the
+// line's end.
+func (p *parser) parseLine(in *Instr) error {
 	start := len(p.regions)
 	p.rlo, p.rhi, p.wlo, p.whi = start, start, start, start
-	if err := p.parseInstr(line, in); err != nil {
+	p.label = ""
+	if err := p.parseInstr(in); err != nil {
 		return err
 	}
+	// Kinds that ignore trailing fields still end at the label.
+	for !p.done() {
+		p.field()
+	}
+	in.Label = p.label
 	p.place(in, start)
 	return nil
+}
+
+// A line is split into fields around runs of white space exactly as
+// strings.Fields splits it, Unicode white space included. A " ; "
+// where a field would start ends the instruction part of the line, and
+// the rest of the line, trimmed, is the label, unless that is empty.
+
+// field returns the next field of the instruction part, "" once there
+// is none, and moves past it.
+func (p *parser) field() string {
+	start := p.pos
+	end := fieldEnd(p.s, start)
+	p.skip(end)
+	return p.s[start:end]
+}
+
+// skip moves the scan to the next field after offset i, where a field
+// ends, or to the line's end, reading the label if it starts there.
+func (p *parser) skip(i int) {
+	// Most fields are parted by one space.
+	if s := p.s; i+1 < len(s) && s[i] == ' ' && plainStart[s[i+1]] {
+		p.pos = i + 1
+		return
+	}
+	p.skipRun(i)
+}
+
+// plainStart marks the bytes that start a field and cannot start a
+// label: printable ASCII other than ';'.
+var plainStart = func() (t [256]bool) {
+	for c := '!'; c < utf8.RuneSelf; c++ {
+		t[c] = c != ';'
+	}
+	return t
+}()
+
+// skipRun is skip past any run of white space.
+func (p *parser) skipRun(i int) {
+	s := p.s
+	i = skipSpace(s, i)
+	if i < len(s) && s[i] == ';' && s[i-1] == ' ' && i+1 < len(s) && s[i+1] == ' ' {
+		end := lineEnd(s, i)
+		if label := strings.TrimSpace(s[i+2 : end]); label != "" {
+			p.label, i = label, end
+		}
+	}
+	p.pos = i
+}
+
+// done reports whether the instruction part has no field left.
+func (p *parser) done() bool { return p.pos == len(p.s) || p.s[p.pos] == '\n' }
+
+// skipSpace returns the offset of the first byte at or after i that is
+// not white space, or of the newline ending the line.
+func skipSpace(s string, i int) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] || c == '\n' {
+				break
+			}
+			i++
+		} else if n := spaceRune(s[i:]); n > 0 {
+			i += n
+		} else {
+			break
+		}
+	}
+	return i
+}
+
+// lineEnd returns the offset of the newline ending the line that
+// offset i is on, or len(s).
+func lineEnd(s string, i int) int {
+	if n := strings.IndexByte(s[i:], '\n'); n >= 0 {
+		return i + n
+	}
+	return len(s)
+}
+
+// fieldEnd returns the end of the field of s that continues at i.
+func fieldEnd(s string, i int) int {
+	for i < len(s) {
+		if c := s[i]; ' ' < c && c < utf8.RuneSelf {
+			i++
+			continue
+		}
+		if fieldEndsAt(s, i) {
+			break
+		}
+		_, n := utf8.DecodeRuneInString(s[i:])
+		i += n
+	}
+	return i
+}
+
+// fieldEndsAt reports whether offset i of s ends a field.
+func fieldEndsAt(s string, i int) bool {
+	return i == len(s) || asciiSpace[s[i]] || s[i] >= utf8.RuneSelf && spaceRune(s[i:]) > 0
+}
+
+// asciiSpace marks the ASCII white space bytes.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// spaceRune returns the byte length of the rune s starts with if it is
+// white space, else 0.
+func spaceRune(s string) int {
+	r, n := utf8.DecodeRuneInString(s)
+	if unicode.IsSpace(r) {
+		return n
+	}
+	return 0
 }
 
 // place points in at the line's final read and write lists, which begin
@@ -138,47 +268,38 @@ func (p *parser) place(in *Instr, start int) {
 	in.reg, in.nReads, in.nWrites = uint32(start), uint32(nr), uint32(nw)
 }
 
-// parseInstr parses the fields of one instruction line.
-func (p *parser) parseInstr(line string, in *Instr) error {
-	// Split off the label comment.
-	if i := labelAt(line); i >= 0 {
-		in.Label = strings.TrimSpace(line[i+3:])
-		line = strings.TrimSpace(line[:i])
-	}
-	var buf [16]string
-	fields := splitFields(line, &buf)
-	if len(fields) == 0 {
-		return fmt.Errorf("empty instruction")
-	}
-	// Strip a leading numeric index (disassembly emits one).
-	if c := fields[0][0]; '0' <= c && c <= '9' || c == '+' || c == '-' {
-		if _, err := strconv.Atoi(fields[0]); err == nil {
-			fields = fields[1:]
-			if len(fields) == 0 {
+// parseInstr dispatches on the head field and reads the fields its
+// kind takes.
+func (p *parser) parseInstr(in *Instr) error {
+	s := p.s
+	// Skip a leading numeric index (disassembly emits one).
+	if c := s[p.pos]; '0' <= c && c <= '9' || c == '+' || c == '-' {
+		if _, n, ok := readInt(s[p.pos:], math.MaxInt64); ok && fieldEndsAt(s, p.pos+n) {
+			if p.skip(p.pos + n); p.done() {
 				return fmt.Errorf("index without instruction")
 			}
 		}
 	}
+	head := p.field()
 
-	head := fields[0]
-	rest := fields[1:]
-	switch {
-	case head == "copy":
-		if len(rest) < 2 {
+	switch head {
+	case "copy":
+		arrow := p.field()
+		if p.done() {
 			return fmt.Errorf("copy needs a path and bytes")
 		}
-		src, dst, err := parseArrow(rest[0])
+		src, dst, err := parseArrow(arrow)
 		if err != nil {
 			return err
 		}
 		sl, okS := levelNamed(src)
 		dl, okD := levelNamed(dst)
 		if !okS || !okD {
-			return fmt.Errorf("unknown path %s", rest[0])
+			return fmt.Errorf("unknown path %s", arrow)
 		}
 		in.Kind = KindTransfer
 		in.Path = hw.Path{Src: sl, Dst: dl}
-		if err := p.parseKVs(rest[1:], in); err != nil {
+		if err := p.parseKVs(in); err != nil {
 			return err
 		}
 		if in.Bytes <= 0 {
@@ -193,23 +314,29 @@ func (p *parser) parseInstr(line string, in *Instr) error {
 			p.regions = append(p.regions, Region{Level: dl, Off: 0, Size: in.Bytes})
 			p.wlo, p.whi = len(p.regions)-1, len(p.regions)
 		}
+		return nil
 
-	case head == "set_flag" || head == "wait_flag":
-		if len(rest) < 2 {
+	case "set_flag", "wait_flag":
+		arrow := p.field()
+		if p.done() {
 			return fmt.Errorf("%s needs endpoints and ev=N", head)
 		}
-		from, to, err := parseArrow(rest[0])
+		from, to, err := parseArrow(arrow)
 		if err != nil {
 			return err
 		}
 		cf, okF := compNamed(from)
 		ct, okT := compNamed(to)
 		if !okF || !okT {
-			return fmt.Errorf("unknown components %s", rest[0])
+			return fmt.Errorf("unknown components %s", arrow)
 		}
-		ev, err := parseInt(rest[1], "ev", 32)
-		if err != nil {
-			return err
+		f := p.field()
+		if len(f) < 3 || f[:3] != "ev=" {
+			return fmt.Errorf("expected ev=N, got %q", f)
+		}
+		ev, ok := atoi(f[3:], math.MaxInt32)
+		if !ok {
+			return fmt.Errorf("bad ev value in %q", f)
 		}
 		in.From, in.To, in.EventID = cf, ct, int32(ev)
 		if head == "set_flag" {
@@ -217,169 +344,238 @@ func (p *parser) parseInstr(line string, in *Instr) error {
 		} else {
 			in.Kind = KindWaitFlag
 		}
+		return nil
+	}
 
-	case strings.HasPrefix(head, "pipe_barrier(") && strings.HasSuffix(head, ")"):
-		arg := head[len("pipe_barrier(") : len(head)-1]
+	const barrier = "pipe_barrier("
+	if len(head) > len(barrier) && head[:len(barrier)] == barrier && head[len(head)-1] == ')' {
+		arg := head[len(barrier) : len(head)-1]
 		in.Kind = KindBarrier
 		if arg == "PIPE_ALL" {
 			in.Scope = BarrierAll
-		} else {
-			c, ok := compNamed(arg)
-			if !ok {
-				return fmt.Errorf("unknown barrier pipe %q", arg)
-			}
-			in.Scope = BarrierPipe
-			in.Pipe = c
+			return nil
 		}
+		c, ok := compNamed(arg)
+		if !ok {
+			return fmt.Errorf("unknown barrier pipe %q", arg)
+		}
+		in.Scope = BarrierPipe
+		in.Pipe = c
+		return nil
+	}
 
-	case strings.IndexByte(head, '.') >= 0:
-		unit, prec, _ := strings.Cut(head, ".")
-		u, okU := unitNamed(unit)
-		pr, okP := precNamed(prec)
-		if !okU || !okP {
-			return fmt.Errorf("unknown precision-unit %q", head)
-		}
-		in.Kind = KindCompute
-		in.Unit, in.Prec = u, pr
-		in.Repeat = 1
-		if err := p.parseKVs(rest, in); err != nil {
-			return err
-		}
-		if in.Ops <= 0 {
-			return fmt.Errorf("compute needs ops=N")
-		}
-
-	default:
+	dot := strings.IndexByte(head, '.')
+	if dot < 0 {
 		return fmt.Errorf("unknown instruction %q", head)
 	}
+	u, okU := unitNamed(head[:dot])
+	pr, okP := precNamed(head[dot+1:])
+	if !okU || !okP {
+		return fmt.Errorf("unknown precision-unit %q", head)
+	}
+	in.Kind = KindCompute
+	in.Unit, in.Prec = u, pr
+	in.Repeat = 1
+	if err := p.parseKVs(in); err != nil {
+		return err
+	}
+	if in.Ops <= 0 {
+		return fmt.Errorf("compute needs ops=N")
+	}
 	return nil
 }
 
-// labelAt returns the index of the first " ; " in line, or -1. It
-// looks for the rare ';' and checks its neighbours, where a substring
-// search would stop at every space.
-func labelAt(line string) int {
-	for off := 0; ; {
-		k := strings.IndexByte(line[off:], ';')
-		if k < 0 {
-			return -1
-		}
-		k += off
-		if k > 0 && k+1 < len(line) && line[k-1] == ' ' && line[k+1] == ' ' {
-			return k - 1
-		}
-		off = k + 1
-	}
-}
-
-// splitFields splits s around runs of white space exactly as
-// strings.Fields does. An ASCII line is split into buf, without
-// allocating while it has at most len(buf) fields; any other line is
-// left to strings.Fields and its Unicode white space.
-func splitFields(s string, buf *[16]string) []string {
-	out := buf[:0]
-	start := -1
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= utf8.RuneSelf:
-			return strings.Fields(s)
-		case c == ' ' || '\t' <= c && c <= '\r':
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		case start < 0:
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-// parseArrow splits "A->B".
+// parseArrow splits "A->B" at its first "->".
 func parseArrow(s string) (string, string, error) {
-	a, b, ok := strings.Cut(s, "->")
-	if !ok {
-		return "", "", fmt.Errorf("expected A->B, got %q", s)
+	for i := 0; i+1 < len(s); i++ {
+		if s[i] == '-' && s[i+1] == '>' {
+			return s[:i], s[i+2:], nil
+		}
 	}
-	return a, b, nil
+	return "", "", fmt.Errorf("expected A->B, got %q", s)
 }
 
-// parseInt parses "key=value" as a signed integer of the given bit size.
-func parseInt(s, key string, bits int) (int64, error) {
-	// Compared piecewise: HasPrefix(s, key+"=") builds the prefix for
-	// every field, a measurable share of the parse.
-	if len(s) <= len(key) || s[len(key)] != '=' || s[:len(key)] != key {
-		return 0, fmt.Errorf("expected %s=N, got %q", key, s)
-	}
-	v, err := strconv.ParseInt(s[len(key)+1:], 10, bits)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value in %q", key, s)
-	}
-	return v, nil
-}
-
-// parseKVs consumes ops=/repeat=/bytes=/reads=/writes= fields.
-func (p *parser) parseKVs(fields []string, in *Instr) error {
-	for _, f := range fields {
-		eq := strings.IndexByte(f, '=')
-		if eq < 0 {
-			return fmt.Errorf("unknown field %q", f)
+// parseKVs reads the rest of the instruction part as
+// ops=/repeat=/bytes=/reads=/writes= fields, each value where it stands
+// in the line.
+func (p *parser) parseKVs(in *Instr) error {
+	s := p.s
+	for !p.done() {
+		start := p.pos
+		k := keyAt(s[start:])
+		if k == keyNone {
+			return fmt.Errorf("unknown field %q", s[start:fieldEnd(s, start)])
 		}
-		key, val := f[:eq], f[eq+1:]
-		var err error
-		switch key {
-		case "ops":
-			in.Ops, err = parseInt(f, key, 64)
-		case "repeat":
-			var v int64
-			v, err = parseInt(f, key, 32)
-			in.Repeat = int32(v)
-		case "bytes":
-			in.Bytes, err = parseInt(f, key, 64)
-		case "reads":
-			p.rlo, p.rhi, err = p.parseRegions(val)
-		case "writes":
-			p.wlo, p.whi, err = p.parseRegions(val)
-		default:
-			return fmt.Errorf("unknown field %q", f)
+		v := start + len(keyNames[k]) + 1
+		if k == keyReads || k == keyWrites {
+			lo, hi, end, err := p.parseRegions(v)
+			if err != nil {
+				return err
+			}
+			if k == keyReads {
+				p.rlo, p.rhi = lo, hi
+			} else {
+				p.wlo, p.whi = lo, hi
+			}
+			p.skip(end)
+			continue
 		}
-		if err != nil {
-			return err
+		limit := uint64(math.MaxInt64)
+		if k == keyRepeat {
+			limit = math.MaxInt32
 		}
+		n, end, ok := readInt(s[v:], limit)
+		if end += v; !ok || !fieldEndsAt(s, end) {
+			return fmt.Errorf("bad %s value in %q", keyNames[k], s[start:fieldEnd(s, start)])
+		}
+		switch k {
+		case keyOps:
+			in.Ops = n
+		case keyRepeat:
+			in.Repeat = int32(n)
+		case keyBytes:
+			in.Bytes = n
+		}
+		p.skip(end)
 	}
 	return nil
 }
 
-// parseRegions parses "Level[off:end),Level[off:end)" onto the end of
-// the arena and returns the range it took.
-func (p *parser) parseRegions(s string) (lo, hi int, err error) {
-	start := len(p.regions)
-	for more := true; more; {
-		var part string
-		part, s, more = strings.Cut(s, ",")
-		open := strings.IndexByte(part, '[')
-		if open < 0 || !strings.HasSuffix(part, ")") {
-			return 0, 0, fmt.Errorf("bad region %q", part)
+// The keys of key=value fields.
+const (
+	keyNone = iota
+	keyOps
+	keyRepeat
+	keyBytes
+	keyReads
+	keyWrites
+)
+
+var keyNames = [...]string{keyOps: "ops", keyRepeat: "repeat", keyBytes: "bytes", keyReads: "reads", keyWrites: "writes"}
+
+// keyAt returns the key of the key=value field s starts with, or
+// keyNone if s does not start with one the format knows.
+func keyAt(s string) int {
+	switch s[0] {
+	case 'o':
+		if len(s) > 3 && s[:4] == "ops=" {
+			return keyOps
 		}
-		level, ok := levelNamed(part[:open])
-		if !ok {
-			return 0, 0, fmt.Errorf("unknown level in region %q", part)
+	case 'r':
+		if len(s) > 5 && s[:6] == "reads=" {
+			return keyReads
 		}
-		lo, hi, ok := strings.Cut(part[open+1:len(part)-1], ":")
-		if !ok {
-			return 0, 0, fmt.Errorf("bad region bounds %q", part)
+		if len(s) > 6 && s[:7] == "repeat=" {
+			return keyRepeat
 		}
-		off, err1 := strconv.ParseInt(lo, 10, 64)
-		end, err2 := strconv.ParseInt(hi, 10, 64)
-		if err1 != nil || err2 != nil || end < off {
-			return 0, 0, fmt.Errorf("bad region bounds %q", part)
+	case 'b':
+		if len(s) > 5 && s[:6] == "bytes=" {
+			return keyBytes
 		}
-		p.regions = append(p.regions, Region{Level: level, Off: off, Size: end - off})
+	case 'w':
+		if len(s) > 6 && s[:7] == "writes=" {
+			return keyWrites
+		}
 	}
-	return start, len(p.regions), nil
+	return keyNone
+}
+
+// parseRegions parses the "Level[off:end),Level[off:end)" value at
+// offset i of the line onto the end of the arena. It returns the arena
+// range the list took and the offset where the value ends.
+func (p *parser) parseRegions(i int) (lo, hi, end int, err error) {
+	s := p.s
+	start := len(p.regions)
+	for {
+		part := i
+		j := i
+		for j < len(s) && ('A' <= s[j] && s[j] <= 'Z' || '0' <= s[j] && s[j] <= '9') {
+			j++
+		}
+		level, ok := levelNamed(s[i:j])
+		if !ok || j == len(s) || s[j] != '[' {
+			return 0, 0, 0, regionError(s, part)
+		}
+		off, n, ok1 := readInt(s[j+1:], math.MaxInt64)
+		if j += 1 + n; !ok1 || j == len(s) || s[j] != ':' {
+			return 0, 0, 0, regionError(s, part)
+		}
+		bound, n, ok2 := readInt(s[j+1:], math.MaxInt64)
+		if j += 1 + n; !ok2 || j == len(s) || s[j] != ')' || bound < off {
+			return 0, 0, 0, regionError(s, part)
+		}
+		p.regions = append(p.regions, Region{Level: level, Off: off, Size: bound - off})
+		if j++; j < len(s) && s[j] == ',' {
+			i = j + 1
+			continue
+		}
+		if !fieldEndsAt(s, j) {
+			return 0, 0, 0, regionError(s, part)
+		}
+		return start, len(p.regions), j, nil
+	}
+}
+
+// regionError reports the region of a list that starts at offset i of
+// s and does not read as Level[off:end), naming the first of these it
+// breaks: a '[' and a final ')', a known level before the '[', and
+// integer bounds with end >= off.
+func regionError(s string, i int) error {
+	j := i
+	for j < len(s) && s[j] != ',' && !fieldEndsAt(s, j) {
+		_, n := utf8.DecodeRuneInString(s[j:])
+		j += n
+	}
+	part := s[i:j]
+	open := strings.IndexByte(part, '[')
+	if open < 0 || !strings.HasSuffix(part, ")") {
+		return fmt.Errorf("bad region %q", part)
+	}
+	if _, ok := levelNamed(part[:open]); !ok {
+		return fmt.Errorf("unknown level in region %q", part)
+	}
+	return fmt.Errorf("bad region bounds %q", part)
+}
+
+// readInt reads the base-10 integer that s starts with: an optional
+// sign and the digits after it. It returns the value, the bytes read,
+// and whether they hold at least one digit and the value lies in
+// [-limit-1, limit], so that for limit = 1<<(bits-1) - 1 a whole string
+// reads ok exactly when strconv.ParseInt(s, 10, bits) accepts it.
+func readInt(s string, limit uint64) (v int64, n int, ok bool) {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		n = 1
+	}
+	first := n
+	// Up to cut, u*10+9 cannot wrap; past it, u saturates, out of every
+	// range.
+	const cut = (1<<64 - 1 - 9) / 10
+	var u uint64
+	for ; n < len(s) && '0' <= s[n] && s[n] <= '9'; n++ {
+		if u <= cut {
+			u = u*10 + uint64(s[n]-'0')
+		} else {
+			u = 1<<64 - 1
+		}
+	}
+	if neg {
+		limit++
+	}
+	if n == first || u > limit {
+		return 0, n, false
+	}
+	if neg {
+		return -int64(u), n, true
+	}
+	return int64(u), n, true
+}
+
+// atoi reads s as a whole like readInt.
+func atoi(s string, limit uint64) (int64, bool) {
+	v, n, ok := readInt(s, limit)
+	return v, ok && n == len(s)
 }
 
 // Name tables of the text format.

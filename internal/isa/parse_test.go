@@ -177,6 +177,28 @@ func randomRoundTripProgram(rng *rand.Rand, n int) *Program {
 	return prog
 }
 
+// TestInstrStringMatchesReference: the append-based disassembler
+// writes what the fmt-based one wrote, on random programs with every
+// kind, extreme numbers, out-of-range enums and labels.
+func TestInstrStringMatchesReference(t *testing.T) {
+	prog := randomRoundTripProgram(rand.New(rand.NewSource(5)), 2000)
+	odd := []Instr{
+		{Kind: KindCompute, Unit: 7, Prec: 9, Ops: -1 << 63, Repeat: -5, Bytes: 1<<63 - 1},
+		{Kind: KindTransfer, Path: hw.Path{Src: 9, Dst: hw.UB}, Bytes: -3, Ops: 5, Repeat: 1<<31 - 1, Label: "x ; y"},
+		{Kind: KindSetFlag, From: 8, To: hw.CompCube, EventID: -1 << 31},
+		{Kind: KindBarrier, Scope: BarrierPipe, Pipe: 12},
+		{Kind: 9, Label: "\xff"},
+	}
+	for _, in := range odd {
+		prog.AppendWith(in, []Region{{Level: 10, Off: -4, Size: 2}}, nil)
+	}
+	for i := range prog.Instrs {
+		if got, want := prog.InstrString(i), refInstrString(prog, i); got != want {
+			t.Fatalf("instr %d: %q, reference %q", i, got, want)
+		}
+	}
+}
+
 func TestParseRejections(t *testing.T) {
 	cases := map[string]string{
 		"garbage":           "hello world",

@@ -270,3 +270,54 @@ func refParseRegions(s string) ([]Region, error) {
 	}
 	return out, nil
 }
+
+// refInstrString is the fmt-based disassembler AppendInstrString
+// replaced, the reference TestInstrStringMatchesReference holds it to.
+func refInstrString(p *Program, i int) string {
+	var b strings.Builder
+	in := &p.Instrs[i]
+	switch in.Kind {
+	case KindCompute:
+		fmt.Fprintf(&b, "%s.%s ops=%d repeat=%d", in.Unit, in.Prec, in.Ops, in.EffRepeat())
+		if in.Bytes != 0 {
+			fmt.Fprintf(&b, " bytes=%d", in.Bytes)
+		}
+	case KindTransfer:
+		fmt.Fprintf(&b, "copy %s bytes=%d", in.Path, in.Bytes)
+		if in.Ops != 0 {
+			fmt.Fprintf(&b, " ops=%d", in.Ops)
+		}
+		if in.Repeat > 1 {
+			fmt.Fprintf(&b, " repeat=%d", in.Repeat)
+		}
+	case KindSetFlag:
+		fmt.Fprintf(&b, "set_flag %s->%s ev=%d", in.From, in.To, in.EventID)
+	case KindWaitFlag:
+		fmt.Fprintf(&b, "wait_flag %s->%s ev=%d", in.From, in.To, in.EventID)
+	case KindBarrier:
+		if in.Scope == BarrierAll {
+			b.WriteString("pipe_barrier(PIPE_ALL)")
+		} else {
+			fmt.Fprintf(&b, "pipe_barrier(%s)", in.Pipe)
+		}
+	}
+	for _, list := range []struct {
+		key string
+		rs  []Region
+	}{{" reads=", p.Reads(i)}, {" writes=", p.Writes(i)}} {
+		if len(list.rs) == 0 {
+			continue
+		}
+		b.WriteString(list.key)
+		for k, r := range list.rs {
+			if k > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, "%s[%d:%d)", r.Level, r.Off, r.End())
+		}
+	}
+	if in.Label != "" {
+		fmt.Fprintf(&b, " ; %s", in.Label)
+	}
+	return b.String()
+}

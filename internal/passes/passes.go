@@ -39,26 +39,28 @@ const (
 // dependsOn returns the strongest memory dependence of instruction j of
 // prog on instruction i (i earlier in program order).
 func dependsOn(prog *isa.Program, i, j int) depKind {
-	overlap := func(a, b []isa.Region) bool {
-		for _, ra := range a {
-			for _, rb := range b {
-				if ra.Overlaps(rb) {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	switch {
-	case overlap(prog.Writes(i), prog.Reads(j)):
+	case overlapAny(prog.Writes(i), prog.Reads(j)):
 		return depRAW
-	case overlap(prog.Writes(i), prog.Writes(j)):
+	case overlapAny(prog.Writes(i), prog.Writes(j)):
 		return depWAW
-	case overlap(prog.Reads(i), prog.Writes(j)):
+	case overlapAny(prog.Reads(i), prog.Writes(j)):
 		return depWAR
 	default:
 		return depNone
 	}
+}
+
+// overlapAny reports whether a region of a overlaps a region of b.
+func overlapAny(a, b []isa.Region) bool {
+	for _, ra := range a {
+		for _, rb := range b {
+			if ra.Overlaps(rb) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // isWork reports whether the instruction does work (compute or transfer),
@@ -216,7 +218,9 @@ func HoistLoads(chip *hw.Chip, prog *isa.Program, window int) (*isa.Program, err
 // program respects every cross-component read-after-write dependence of
 // the original work sequence: each consumer starts at or after its
 // producers complete. It is the semantic-preservation check for the
-// passes in this package.
+// passes in this package. Each instruction's queue is resolved once,
+// and a pair's regions are compared only when its times would violate
+// the order.
 func CheckOrdering(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error {
 	n := len(prog.Instrs)
 	if p.NumSpans() != n {
@@ -228,24 +232,27 @@ func CheckOrdering(chip *hw.Chip, prog *isa.Program, p *profile.Profile) error {
 		starts[s.Index] = s.Start
 		ends[s.Index] = s.End
 	}
+	// The queue of every work instruction; -1 marks synchronization.
+	comps := make([]int, n)
+	for i := range prog.Instrs {
+		comps[i] = -1
+		if isWork(&prog.Instrs[i]) {
+			c, _ := prog.Instrs[i].Component(chip)
+			comps[i] = int(c)
+		}
+	}
 	for j := 0; j < n; j++ {
-		if !isWork(&prog.Instrs[j]) {
+		reads := prog.Reads(j)
+		if comps[j] < 0 || len(reads) == 0 {
 			continue
 		}
-		cj, _ := prog.Instrs[j].Component(chip)
 		for i := 0; i < j; i++ {
-			if !isWork(&prog.Instrs[i]) {
+			if comps[i] < 0 || comps[i] == comps[j] || starts[j]+1e-9 >= ends[i] {
 				continue
 			}
-			ci, _ := prog.Instrs[i].Component(chip)
-			if ci == cj {
-				continue
-			}
-			if dependsOn(prog, i, j) == depRAW {
-				if starts[j]+1e-9 < ends[i] {
-					return fmt.Errorf("passes: RAW violated: %d (%s) starts %.3f before %d (%s) ends %.3f",
-						j, prog.InstrString(j), starts[j], i, prog.InstrString(i), ends[i])
-				}
+			if overlapAny(prog.Writes(i), reads) {
+				return fmt.Errorf("passes: RAW violated: %d (%s) starts %.3f before %d (%s) ends %.3f",
+					j, prog.InstrString(j), starts[j], i, prog.InstrString(i), ends[i])
 			}
 		}
 	}

@@ -322,11 +322,11 @@ func runTrace(chip *hw.Chip, req TraceRequest) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
 	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, chip, prog, p, trace.Options{CritPath: cp}); err != nil {
+	body, err := trace.Append(nil, chip, prog, p, trace.Options{CritPath: cp})
+	if err != nil {
 		return nil, false, &apiError{status: http.StatusInternalServerError, code: "internal", message: err.Error()}
 	}
-	return buf.Bytes(), false, nil
+	return body, false, nil
 }
 
 // parseModel handles POST /v1/model: a whole-workload run, the service

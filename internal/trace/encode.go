@@ -33,13 +33,14 @@ type docEncoder struct {
 	err error
 }
 
-// newline starts a new line indented to depth.
+// newline starts a new line indented to depth, at most 4: the members
+// of an event's args, the deepest the trace formats nest.
 func (e *docEncoder) newline(depth int) {
-	e.buf = append(e.buf, '\n')
-	for ; depth > 0; depth-- {
-		e.buf = append(e.buf, ' ')
-	}
+	e.buf = append(e.buf, indents[:1+depth]...)
 }
+
+// indents is a newline and the indentation of the deepest line.
+const indents = "\n    "
 
 // field starts an object member at depth; key must need no escaping.
 func (e *docEncoder) field(depth int, first bool, key string) {
@@ -85,10 +86,21 @@ func (e *docEncoder) document(doc *Document) {
 
 // event appends one Event at depth 2, following its json tags.
 func (e *docEncoder) event(ev *Event) {
-	const d = 3
 	e.buf = append(e.buf, '{')
-	e.field(d, true, "name")
+	e.field(3, true, "name")
 	e.string(ev.Name)
+	e.eventRest(ev)
+	if len(ev.Args) > 0 {
+		e.field(3, false, "args")
+		e.object(3, ev.Args)
+	}
+	e.eventEnd()
+}
+
+// eventRest appends the members of ev after its name and before its
+// args.
+func (e *docEncoder) eventRest(ev *Event) {
+	const d = 3
 	if ev.Cat != "" {
 		e.field(d, false, "cat")
 		e.string(ev.Cat)
@@ -121,11 +133,11 @@ func (e *docEncoder) event(ev *Event) {
 		e.field(d, false, "cname")
 		e.string(ev.CName)
 	}
-	if len(ev.Args) > 0 {
-		e.field(d, false, "args")
-		e.object(d, ev.Args)
-	}
-	e.newline(d - 1)
+}
+
+// eventEnd closes an event at depth 2.
+func (e *docEncoder) eventEnd() {
+	e.newline(2)
 	e.buf = append(e.buf, '}')
 }
 
@@ -210,8 +222,12 @@ const hexDigits = "0123456789abcdef"
 
 // string appends s quoted the way encoding/json quotes with HTML
 // escaping on.
-func (e *docEncoder) string(s string) {
-	b := append(e.buf, '"')
+func (e *docEncoder) string(s string) { e.buf = appendQuoted(e.buf, s) }
+
+// appendQuoted appends s, text or bytes, quoted the way encoding/json
+// quotes a string with HTML escaping on.
+func appendQuoted[S string | []byte](b []byte, s S) []byte {
+	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -241,7 +257,9 @@ func (e *docEncoder) string(s string) {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// At most one rune's bytes are converted, which a byte slice
+		// does on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)
@@ -257,5 +275,5 @@ func (e *docEncoder) string(s string) {
 		start = i
 	}
 	b = append(b, s[start:]...)
-	e.buf = append(b, '"')
+	return append(b, '"')
 }

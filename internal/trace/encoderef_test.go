@@ -17,6 +17,7 @@ import (
 	"ascendperf/internal/isa"
 	"ascendperf/internal/kernels"
 	"ascendperf/internal/model"
+	"ascendperf/internal/profile"
 	"ascendperf/internal/sim"
 )
 
@@ -208,11 +209,14 @@ func BenchmarkTraceWrite(b *testing.B) {
 	}
 }
 
-// TestWriteAllocs caps the encoder's allocations: one output buffer,
-// plus one regrowth if the size estimate falls short. Building the
-// document (New) allocates per event and is not counted here.
+// TestWriteAllocs caps the allocations of both encoders. writeDocument
+// makes one output buffer, plus one regrowth if the size estimate falls
+// short. Write makes a fixed handful (the buffer and its per-program
+// tables) that does not grow with the program: at most 40 on the
+// 4000-instruction benchmark input, and no more there than on a
+// 200-instruction program.
 func TestWriteAllocs(t *testing.T) {
-	_, _, _, doc := genTraceInput(t)
+	chip, prog, opts, doc := genTraceInput(t)
 	allocs := testing.AllocsPerRun(5, func() {
 		if err := writeDocument(io.Discard, doc); err != nil {
 			t.Fatal(err)
@@ -221,4 +225,145 @@ func TestWriteAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("encoding a %d-event trace makes %.0f allocations, want at most 2", len(doc.TraceEvents), allocs)
 	}
+
+	writeAllocs := func(prog *isa.Program, opts Options) float64 {
+		p, err := sim.Run(chip, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := Write(io.Discard, chip, prog, p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	long := writeAllocs(prog, opts)
+	if long > 40 {
+		t.Errorf("writing the trace of %d instructions makes %.0f allocations, want at most 40", prog.Len(), long)
+	}
+	small := check.GenProgram(chip, rand.New(rand.NewSource(1)), 200)
+	cp, err := critpath.Compute(chip, small, mustRun(t, chip, small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if short := writeAllocs(small, Options{CritPath: cp}); long > short {
+		t.Errorf("writing a trace makes %.0f allocations at %d instructions but %.0f at %d: allocations grow with the program",
+			long, prog.Len(), short, small.Len())
+	}
+}
+
+func mustRun(t testing.TB, chip *hw.Chip, prog *isa.Program) *profile.Profile {
+	t.Helper()
+	p, err := sim.Run(chip, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// matchNew fails unless Write's bytes for the schedule equal
+// encoding/json's encoding of New's document, or both fail with the
+// same error.
+func matchNew(t testing.TB, what string, chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) {
+	t.Helper()
+	var got, want bytes.Buffer
+	err := Write(&got, chip, prog, p, opts)
+	doc, refErr := New(chip, prog, p, opts)
+	if refErr == nil {
+		refErr = refWriteDocument(&want, doc)
+	}
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("%s: Write error %v, reference error %v", what, err, refErr)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := got.Bytes(), want.Bytes()
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		lo := max(i-80, 0)
+		t.Fatalf("%s: Write diverges from New + encoding/json at byte %d of %d/%d:\n got  %q\n want %q",
+			what, i, len(g), len(w), g[lo:min(i+80, len(g))], w[lo:min(i+80, len(w))])
+	}
+}
+
+// TestWriteMatchesNew holds the streaming writer to the document
+// builder it replaced: every registry kernel, baseline and fully
+// optimized, on every preset, and generated programs with labels, each
+// with and without the critical-path overlay; and the error on a
+// profile without spans.
+func TestWriteMatchesNew(t *testing.T) {
+	reg := kernels.Registry()
+	names := make([]string, 0, len(reg))
+	for n := range reg {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	both := func(what string, chip *hw.Chip, prog *isa.Program) {
+		p := mustRun(t, chip, prog)
+		matchNew(t, what, chip, prog, p, Options{})
+		cp, err := critpath.Compute(chip, prog, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchNew(t, what+" with critical path", chip, prog, p, Options{CritPath: cp})
+	}
+	for _, chip := range []*hw.Chip{hw.TrainingChip(), hw.InferenceChip(), hw.TPUStyleChip()} {
+		for _, name := range names {
+			k := reg[name]
+			for _, opts := range []kernels.Options{k.Baseline(), kernels.FullyOptimized(k)} {
+				prog, err := k.Build(chip, opts)
+				if err != nil {
+					continue
+				}
+				both(fmt.Sprintf("%s %v on %s", name, opts, chip.Name), chip, prog)
+			}
+		}
+	}
+	chip := hw.TrainingChip()
+	for _, n := range []int{1, 200, 4000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			prog := check.GenProgram(chip, rand.New(rand.NewSource(seed)), n)
+			for i := range prog.Instrs {
+				prog.Instrs[i].Label = []string{"", "load <a> & \"b\"", "", "\u2028x\xff"}[i%4]
+			}
+			both(fmt.Sprintf("generated n=%d seed=%d", n, seed), chip, prog)
+		}
+	}
+	prog := check.GenProgram(chip, rand.New(rand.NewSource(1)), 50)
+	spanless, err := sim.RunOpts(chip, prog, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchNew(t, "span-less profile", chip, prog, spanless, Options{})
+	matchNew(t, "no profile", chip, prog, nil, Options{})
+	matchNew(t, "empty program", chip, &isa.Program{Name: "empty"}, spanless, Options{})
+}
+
+// FuzzTraceWrite: for a generated program of a fuzzed seed and length,
+// labelled and named with a fuzzed label, Write's bytes equal
+// encoding/json's encoding of New's document, with and without the
+// critical-path overlay.
+func FuzzTraceWrite(f *testing.F) {
+	f.Add(int64(1), 40, "load-x")
+	f.Add(int64(7), 300, "")
+	f.Add(int64(3), 1, "a<b>&c\u2028d \xff")
+	chip := hw.TrainingChip()
+	f.Fuzz(func(t *testing.T, seed int64, n int, label string) {
+		n = 1 + (n%300+300)%300
+		prog := check.GenProgram(chip, rand.New(rand.NewSource(seed)), n)
+		prog.Name = label
+		for i := range prog.Instrs {
+			if i%3 == 0 {
+				prog.Instrs[i].Label = label
+			}
+		}
+		p := mustRun(t, chip, prog)
+		matchNew(t, "fuzz", chip, prog, p, Options{})
+		cp, err := critpath.Compute(chip, prog, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchNew(t, "fuzz with critical path", chip, prog, p, Options{CritPath: cp})
+	})
 }

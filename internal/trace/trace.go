@@ -27,9 +27,11 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"ascendperf/internal/critpath"
 	"ascendperf/internal/hw"
@@ -84,123 +86,147 @@ type Options struct {
 	CritPath *critpath.Analysis
 }
 
-// New builds the trace document for one simulated schedule. The profile
+// Write emits the trace of one simulated schedule as JSON. The profile
 // must carry one span per instruction (simulate with KeepSpans).
-func New(chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) (*Document, error) {
+func Write(w io.Writer, chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) error {
+	b, err := Append(nil, chip, prog, p, opts)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// Append appends the trace Write emits to dst. It streams the events
+// straight from the profile's spans into one buffer, with the bytes
+// encoding/json gives the equivalent Document (TestWriteMatchesNew):
+// the metadata, one "X" span per instruction in start order, the flag
+// flows in wait order and the PIPE_ALL barrier instants in program
+// order.
+func Append(dst []byte, chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) ([]byte, error) {
 	n := len(prog.Instrs)
 	if n == 0 || p == nil || p.NumSpans() != n {
 		have := 0
 		if p != nil {
 			have = p.NumSpans()
 		}
-		return nil, fmt.Errorf("trace: need one span per instruction (have %d of %d); simulate with KeepSpans", have, n)
+		return dst, fmt.Errorf("trace: need one span per instruction (have %d of %d); simulate with KeepSpans", have, n)
 	}
-	starts := make([]float64, n)
-	ends := make([]float64, n)
-	for s := range p.Spans() {
-		starts[s.Index] = s.Start
-		ends[s.Index] = s.End
-	}
-	critical := map[int]bool{}
+	tl := p.Timeline
+	t := newTimes(tl, n)
+	var critical []uint64
 	if opts.CritPath != nil {
+		critical = make([]uint64, (n+63)/64)
 		for _, st := range opts.CritPath.Steps {
-			critical[st.Index] = true
+			if 0 <= st.Index && st.Index < n {
+				critical[st.Index/64] |= 1 << (st.Index % 64)
+			}
 		}
 	}
 
-	doc := &Document{
-		DisplayTimeUnit: "ns",
-		OtherData: map[string]any{
-			"schema":   SchemaTrace,
-			"program":  prog.Name,
-			"chip":     chip.Name,
-			"total_ns": p.TotalTime,
-		},
+	size := 1024 + spanBytes*n
+	for _, label := range tl.Label {
+		size += len(label)
 	}
+	e := docEncoder{buf: slices.Grow(dst, size)}
+	var name []byte // scratch for the names of unlabelled spans and flows
+	e.buf = append(e.buf, '{')
+	e.field(1, true, "traceEvents")
+	e.buf = append(e.buf, '[')
 
 	// Metadata: the process and one named, ordered track per active
 	// component queue.
-	doc.TraceEvents = append(doc.TraceEvents, Event{
-		Name: "process_name", Ph: "M", PID: tracePID, TID: 0,
-		Args: map[string]any{"name": fmt.Sprintf("AICore: %s on %s", prog.Name, chip.Name)},
-	})
-	for _, c := range p.ActiveComponents() {
-		doc.TraceEvents = append(doc.TraceEvents,
-			Event{Name: "thread_name", Ph: "M", PID: tracePID, TID: tidOf(c),
-				Args: map[string]any{"name": c.String()}},
-			Event{Name: "thread_sort_index", Ph: "M", PID: tracePID, TID: tidOf(c),
-				Args: map[string]any{"sort_index": int(c)}},
-		)
+	e.openEvent(true)
+	e.string("process_name")
+	e.eventRest(&Event{Ph: "M", PID: tracePID})
+	e.openArgs("name")
+	name = append(append(append(append(name[:0], "AICore: "...), prog.Name...), " on "...), chip.Name...)
+	e.buf = appendQuoted(e.buf, name)
+	e.closeArgs()
+	for c := range hw.Component(hw.NumComponents) {
+		if p.InstrCount[c] == 0 {
+			continue
+		}
+		e.metadata("thread_name", tidOf(c), "name")
+		e.string(c.String())
+		e.closeArgs()
+		e.metadata("thread_sort_index", tidOf(c), "sort_index")
+		e.buf = strconv.AppendInt(e.buf, int64(c), 10)
+		e.closeArgs()
 	}
 
-	// One "X" complete event per span, in span (start-time) order.
-	for s := range p.Spans() {
-		in := &prog.Instrs[s.Index]
-		name := s.Label
-		if name == "" {
-			name = prog.InstrString(s.Index)
+	// One "X" complete event per span, in span (start-time) order. The
+	// args keys of each instruction kind are written in sorted order.
+	for k := range n {
+		i := int(tl.Index[k])
+		in := &prog.Instrs[i]
+		e.openEvent(false)
+		if label := tl.LabelAt(k); label != "" {
+			e.string(label)
+		} else {
+			name = prog.AppendInstrString(name[:0], i)
+			e.buf = appendQuoted(e.buf, name)
 		}
-		dur := us(s.Duration())
-		ev := Event{
-			Name: name, Cat: s.Kind.String(), Ph: "X",
-			TS: us(s.Start), Dur: &dur, PID: tracePID, TID: tidOf(s.Comp),
-			Args: map[string]any{"index": s.Index},
+		start, end := profile.FromTicks(tl.Start[k]), profile.FromTicks(tl.End[k])
+		dur := us(end - start)
+		ev := Event{Cat: isa.Kind(tl.Kind[k]).String(), Ph: "X", TS: us(start), Dur: &dur,
+			PID: tracePID, TID: tidOf(hw.Component(tl.Comp[k]))}
+		onPath := critical != nil && critical[i/64]&(1<<(i%64)) != 0
+		if onPath {
+			ev.CName = "terrible"
+		}
+		e.eventRest(&ev)
+		switch in.Kind {
+		case isa.KindTransfer:
+			e.openArgs("bytes")
+			e.buf = strconv.AppendInt(e.buf, in.Bytes, 10)
+			e.field(4, false, "index")
+		case isa.KindSetFlag, isa.KindWaitFlag:
+			e.openArgs("event")
+			e.buf = strconv.AppendInt(e.buf, int64(in.EventID), 10)
+			e.field(4, false, "index")
+		default:
+			e.openArgs("index")
+		}
+		e.buf = strconv.AppendInt(e.buf, int64(i), 10)
+		if onPath {
+			e.field(4, false, "on_critical_path")
+			e.buf = append(e.buf, "true"...)
 		}
 		switch in.Kind {
 		case isa.KindTransfer:
-			ev.Args["path"] = in.Path.String()
-			ev.Args["bytes"] = in.Bytes
+			e.field(4, false, "path")
+			name = append(append(append(name[:0], in.Path.Src.String()...), "->"...), in.Path.Dst.String()...)
+			e.buf = appendQuoted(e.buf, name)
 		case isa.KindCompute:
-			ev.Args["unit"] = in.Unit.String()
-			ev.Args["prec"] = in.Prec.String()
-			ev.Args["ops"] = in.Ops
-		case isa.KindSetFlag, isa.KindWaitFlag:
-			ev.Args["event"] = int(in.EventID)
+			e.field(4, false, "ops")
+			e.buf = strconv.AppendInt(e.buf, in.Ops, 10)
+			e.field(4, false, "prec")
+			e.string(in.Prec.String())
+			e.field(4, false, "unit")
+			e.string(in.Unit.String())
 		}
-		if critical[s.Index] {
-			ev.Args["on_critical_path"] = true
-			ev.CName = "terrible"
-		}
-		doc.TraceEvents = append(doc.TraceEvents, ev)
+		e.closeArgs()
 	}
 
-	// Flow arrows for flag dependencies: the k-th wait_flag of a key
-	// consumes the k-th completing set_flag (the simulator's counting
-	// semantics). The flow start sits at the midpoint of the set span
-	// and the finish at the midpoint of the wait span, so Perfetto binds
-	// both ends to their enclosing slices.
-	sets := map[isa.FlagKey][]int{}
-	for i := range prog.Instrs {
-		in := &prog.Instrs[i]
-		if in.Kind == isa.KindSetFlag {
-			k := in.FlagKey()
-			sets[k] = append(sets[k], i)
-		}
-	}
-	for k := range sets {
-		ss := sets[k]
-		sort.SliceStable(ss, func(a, b int) bool { return ends[ss[a]] < ends[ss[b]] })
-	}
-	waitCount := map[isa.FlagKey]int{}
-	for i := range prog.Instrs {
-		in := &prog.Instrs[i]
-		if in.Kind != isa.KindWaitFlag {
-			continue
-		}
-		k := in.FlagKey()
-		seq := waitCount[k]
-		waitCount[k]++
-		if seq >= len(sets[k]) {
-			continue // unmatched wait; the simulator would have deadlocked
-		}
-		set := sets[k][seq]
-		name := fmt.Sprintf("flag %s->%s ev=%d", in.From, in.To, in.EventID)
-		doc.TraceEvents = append(doc.TraceEvents,
-			Event{Name: name, Cat: "flag", Ph: "s", ID: set + 1,
-				TS: us((starts[set] + ends[set]) / 2), PID: tracePID, TID: tidOf(in.From)},
-			Event{Name: name, Cat: "flag", Ph: "f", BP: "e", ID: set + 1,
-				TS: us((starts[i] + ends[i]) / 2), PID: tracePID, TID: tidOf(in.To)},
-		)
+	// Flow arrows for flag dependencies. The flow start sits at the
+	// midpoint of the set span and the finish at the midpoint of the
+	// wait span, so Perfetto binds both ends to their enclosing slices.
+	for _, m := range matchFlags(prog, t) {
+		set, wait := int(m.set), int(m.wait)
+		in := &prog.Instrs[wait]
+		name = append(append(append(name[:0], "flag "...), in.From.String()...), "->"...)
+		name = strconv.AppendInt(append(append(name, in.To.String()...), " ev="...), int64(in.EventID), 10)
+		e.openEvent(false)
+		e.buf = appendQuoted(e.buf, name)
+		e.eventRest(&Event{Cat: "flag", Ph: "s", ID: set + 1,
+			TS: us((t.start(set) + t.end(set)) / 2), PID: tracePID, TID: tidOf(in.From)})
+		e.eventEnd()
+		e.openEvent(false)
+		e.buf = appendQuoted(e.buf, name)
+		e.eventRest(&Event{Cat: "flag", Ph: "f", BP: "e", ID: set + 1,
+			TS: us((t.start(wait) + t.end(wait)) / 2), PID: tracePID, TID: tidOf(in.To)})
+		e.eventEnd()
 	}
 
 	// Instant markers at every PIPE_ALL barrier completion.
@@ -208,23 +234,164 @@ func New(chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) (*D
 		in := &prog.Instrs[i]
 		if in.Kind == isa.KindBarrier && in.Scope == isa.BarrierAll {
 			c, _ := in.Component(chip)
-			doc.TraceEvents = append(doc.TraceEvents, Event{
-				Name: "pipe_barrier(PIPE_ALL)", Cat: "barrier", Ph: "i", Scope: "t",
-				TS: us(ends[i]), PID: tracePID, TID: tidOf(c),
-				Args: map[string]any{"index": i},
-			})
+			e.openEvent(false)
+			e.string("pipe_barrier(PIPE_ALL)")
+			e.eventRest(&Event{Cat: "barrier", Ph: "i", Scope: "t", TS: us(t.end(i)), PID: tracePID, TID: tidOf(c)})
+			e.openArgs("index")
+			e.buf = strconv.AppendInt(e.buf, int64(i), 10)
+			e.closeArgs()
 		}
 	}
-	return doc, nil
+
+	e.newline(1)
+	e.buf = append(e.buf, ']')
+	e.field(1, false, "displayTimeUnit")
+	e.string("ns")
+	e.field(1, false, "otherData")
+	e.buf = append(e.buf, '{')
+	e.field(2, true, "chip")
+	e.string(chip.Name)
+	e.field(2, false, "program")
+	e.string(prog.Name)
+	e.field(2, false, "schema")
+	e.string(SchemaTrace)
+	e.field(2, false, "total_ns")
+	e.float(p.TotalTime)
+	e.newline(1)
+	e.buf = append(e.buf, '}')
+	e.newline(0)
+	e.buf = append(e.buf, '}', '\n')
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.buf, nil
 }
 
-// Write builds the trace for the schedule and emits it as JSON.
-func Write(w io.Writer, chip *hw.Chip, prog *isa.Program, p *profile.Profile, opts Options) error {
-	doc, err := New(chip, prog, p, opts)
-	if err != nil {
-		return err
+// spanBytes is about what one span's event, with its share of the
+// flows, takes in the output besides its label. It sizes the buffer so
+// that a long program does not regrow it.
+const spanBytes = 320
+
+// openEvent starts the next element of traceEvents at depth 2, up to
+// the value of its name.
+func (e *docEncoder) openEvent(first bool) {
+	if !first {
+		e.buf = append(e.buf, ',')
 	}
-	return writeDocument(w, doc)
+	e.newline(2)
+	e.buf = append(e.buf, '{')
+	e.field(3, true, "name")
+}
+
+// metadata appends a track's "M" event up to the value of its one args
+// member, key.
+func (e *docEncoder) metadata(name string, tid int, key string) {
+	e.openEvent(false)
+	e.string(name)
+	e.eventRest(&Event{Ph: "M", PID: tracePID, TID: tid})
+	e.openArgs(key)
+}
+
+// openArgs starts an event's args object with its first member, key,
+// up to the member's value.
+func (e *docEncoder) openArgs(key string) {
+	e.field(3, false, "args")
+	e.buf = append(e.buf, '{')
+	e.field(4, true, key)
+}
+
+// closeArgs closes the args object and its event.
+func (e *docEncoder) closeArgs() {
+	e.newline(3)
+	e.buf = append(e.buf, '}')
+	e.eventEnd()
+}
+
+// times reads instruction i's span times in nanoseconds off the tick
+// timeline: its later span if it has two, 0 if it has none.
+type times struct {
+	tl *profile.SpanSeq
+	at []int32 // the span of each instruction, or -1
+}
+
+func newTimes(tl *profile.SpanSeq, n int) times {
+	at := make([]int32, n)
+	for i := range at {
+		at[i] = -1
+	}
+	for k, i := range tl.Index {
+		at[i] = int32(k)
+	}
+	return times{tl, at}
+}
+
+func (t times) start(i int) float64 {
+	if k := t.at[i]; k >= 0 {
+		return profile.FromTicks(t.tl.Start[k])
+	}
+	return 0
+}
+
+func (t times) end(i int) float64 {
+	if k := t.at[i]; k >= 0 {
+		return profile.FromTicks(t.tl.End[k])
+	}
+	return 0
+}
+
+// flagPair is a set_flag and the wait_flag that consumes it.
+type flagPair struct{ set, wait int32 }
+
+// matchFlags pairs the k-th wait_flag of each flag stream, in program
+// order, with the k-th set_flag of the stream to complete (ties in
+// program order): the simulator's counting semantics. It returns the
+// pairs in wait order; a wait past the sets of its stream, which the
+// simulator would have deadlocked on, has none.
+func matchFlags(prog *isa.Program, t times) []flagPair {
+	nSets, nWaits := 0, 0
+	for i := range prog.Instrs {
+		switch prog.Instrs[i].Kind {
+		case isa.KindSetFlag:
+			nSets++
+		case isa.KindWaitFlag:
+			nWaits++
+		}
+	}
+	if nWaits == 0 {
+		return nil
+	}
+	sets, waits := make([]int32, 0, nSets), make([]int32, 0, nWaits)
+	for i := range prog.Instrs {
+		switch prog.Instrs[i].Kind {
+		case isa.KindSetFlag:
+			sets = append(sets, int32(i))
+		case isa.KindWaitFlag:
+			waits = append(waits, int32(i))
+		}
+	}
+	stream := func(a, b int32) int {
+		x, y := &prog.Instrs[a], &prog.Instrs[b]
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To), cmp.Compare(x.EventID, y.EventID))
+	}
+	slices.SortFunc(sets, func(a, b int32) int {
+		return cmp.Or(stream(a, b), cmp.Compare(t.end(int(a)), t.end(int(b))), cmp.Compare(a, b))
+	})
+	slices.SortFunc(waits, func(a, b int32) int { return cmp.Or(stream(a, b), cmp.Compare(a, b)) })
+	pairs := make([]flagPair, 0, nWaits)
+	s := 0
+	for w := 0; w < len(waits); {
+		for s < len(sets) && stream(sets[s], waits[w]) < 0 {
+			s++
+		}
+		for first := waits[w]; w < len(waits) && stream(waits[w], first) == 0; w++ {
+			if s < len(sets) && stream(sets[s], first) == 0 {
+				pairs = append(pairs, flagPair{sets[s], waits[w]})
+				s++
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(a, b flagPair) int { return cmp.Compare(a.wait, b.wait) })
+	return pairs
 }
 
 // tidOf maps a component to its track id. Thread ids start at 1; tid 0

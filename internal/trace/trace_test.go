@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,7 +217,7 @@ func TestTraceNeedsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(chip, prog, p, Options{}); err == nil {
+	if err := Write(io.Discard, chip, prog, p, Options{}); err == nil {
 		t.Error("trace accepted a span-less profile")
 	}
 	if _, err := ComputeMetrics(chip, prog, p); err == nil {

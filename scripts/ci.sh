@@ -77,10 +77,13 @@ echo "== memory-retention gate (programs die with their owner, shared presets st
 # them, distinct inline-program requests must not grow the live heap,
 # and serving every endpoint must leave the shared chip presets
 # unchanged. An instruction stays 64 bytes with Label its only pointer
-# (its regions live in the program's pointer-free arena), and no kernel
-# build allocates more than once per ten instructions.
+# (its regions live in the program's pointer-free arena), no kernel
+# build allocates more than once per ten instructions, and neither
+# parsing a program nor writing its trace allocates more on a longer
+# program.
 go test -count=1 -run 'TestRunOptsDoesNotRetainProgram|TestRunnerDoesNotRetainBuilds|TestInlineSimulateHeapBounded|TestChipPresetsStayImmutable' ./internal/serve
-go test -count=1 -run 'TestInstrLayout' ./internal/isa
+go test -count=1 -run 'TestInstrLayout|TestParseAllocs' ./internal/isa
+go test -count=1 -run 'TestWriteAllocs' ./internal/trace
 go test -count=1 -run 'TestKernelBuildAllocs' ./internal/kernels
 
 echo "== simulation-reuse gate (one simulation per concurrent miss, exact callers stay exact, flights outlive their leader) =="
@@ -115,6 +118,7 @@ go test -run '^$' -fuzz FuzzFingerprint -fuzztime 10s -fuzzminimizetime 5s ./int
 go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 5s ./internal/serve
 go test -run '^$' -fuzz FuzzDecodeSimulate -fuzztime 10s -fuzzminimizetime 5s ./internal/serve
 go test -run '^$' -fuzz FuzzWriteLabel -fuzztime 10s -fuzzminimizetime 5s ./internal/trace
+go test -run '^$' -fuzz FuzzTraceWrite -fuzztime 10s -fuzzminimizetime 5s ./internal/trace
 
 echo "== benchmark smoke =="
 # Compile and execute every scheduler/engine/parser/critical-path/trace/
